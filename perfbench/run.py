@@ -4,71 +4,78 @@
 
 Run from the root of a checkout.  The program is imported from ./src.
 With --trace 0 the run prints the end-to-end metrics; with --trace 1 it
-runs the same calls once untraced and once traced (workers=1) and prints
-the per-layer metrics, the tracing overhead and the gf kernel figures.
+makes untraced rounds for half of --seconds, then the workload's fixed
+number of traced rounds, and prints the per-layer metrics, the tracing
+overhead and the gf kernel figures.
 The last line of standard output is one JSON object:
 {"correct", "attempted", "failed", "metrics"}.  Result files and span
 files go to perfbench/results/.
 """
 
 import argparse
-import importlib
 import json
 import resource
 import statistics
+import subprocess
 import sys
 import time
 import traceback
+from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+SRC = ROOT / "src"
 RESULTS = HERE / "results"
 SETUP_REPEATS = 9
-LIB_MODULES = ("gf", "linalg", "linpoly", "dickson", "linset", "classify")
 
 import calibrate  # noqa: E402
+import program  # noqa: E402
 import tracer as tracing  # noqa: E402
 import workloads  # noqa: E402
 
 
-class Lib:
-    """The freshly imported package and its modules, by short name."""
-
-    def __init__(self):
-        self.package = importlib.import_module("linsetlab")
-        for name in LIB_MODULES:
-            setattr(self, name, importlib.import_module(f"linsetlab.{name}"))
-
-    def modules(self) -> dict:
-        mods = {name: getattr(self, name) for name in LIB_MODULES}
-        mods["package"] = self.package
-        return mods
-
-
-def fresh_import() -> Lib:
-    """Import linsetlab anew from ./src, dropping any earlier import, so
-    each set-up pays for the import, the towers and their tables again."""
+def fresh_import() -> program.Lib:
+    """Import linsetlab anew from ./src, dropping any earlier import."""
     for key in [k for k in sys.modules
                 if k == "linsetlab" or k.startswith("linsetlab.")]:
         del sys.modules[key]
-    lib = Lib()
-    src = (ROOT / "src").resolve()
-    if Path(lib.package.__file__).resolve().parent.parent != src:
-        raise ImportError(f"linsetlab was not imported from {src}")
+    lib = program.Lib()
+    if Path(lib.package.__file__).resolve().parent.parent != SRC.resolve():
+        raise ImportError(f"linsetlab was not imported from {SRC}")
     return lib
 
 
-def set_up(wl, inputs):
-    """SETUP_REPEATS full set-ups; the last one is used.  Returns the
-    library, the prepared inputs and the (start, end) of each set-up."""
-    spans = []
+def timed_set_ups(wl, inputs, probe):
+    """SETUP_REPEATS set-ups, each in a fresh interpreter (setup_child.py),
+    timed from before the process starts until the set-up is done, minus
+    the child's own reading of the benchmark's modules and inputs.  The
+    probe pauses while a child runs on the pinned core.  Returns, per
+    set-up, the perf_counter() readings (start, done, (own start, own
+    end)); perf_counter is one clock for every process of the machine."""
+    data = json.dumps(wl.plain(inputs)).encode("ascii")
+    cmd = [sys.executable, str(HERE / "setup_child.py"), str(SRC.resolve()),
+           wl.name]
+    times = []
     for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        lib = fresh_import()
-        prepared = wl.prepare(lib, inputs)
-        spans.append((t0, time.perf_counter()))
-    return lib, prepared, spans
+        with probe.paused():
+            t0 = time.perf_counter()
+            proc = subprocess.run(cmd, input=data, capture_output=True,
+                                  check=False)
+        if proc.returncode != 0:
+            raise RuntimeError("set-up process failed:\n"
+                               + proc.stderr.decode(errors="replace"))
+        out = json.loads(proc.stdout.decode().strip().splitlines()[-1])
+        times.append((t0, out["done"], out["own"]))
+        # a few samples between two set-ups, for their conversion
+        time.sleep(2 * probe.period)
+    return times
+
+
+def set_up(wl, inputs):
+    """The set-up the rounds of this process use (untimed)."""
+    lib = fresh_import()
+    return lib, wl.prepare(lib, json.loads(json.dumps(wl.plain(inputs))))
 
 
 class Checker:
@@ -79,10 +86,12 @@ class Checker:
     def __init__(self, wl, inputs, expected):
         self.wl, self.inputs, self.expected = wl, inputs, expected
         self.problems = []
+        self.checked = Counter()
         self.reported = {"visited": 0, "scanned": 0, "pair_count": 0,
                          "reports": 0}
 
     def __call__(self, k, result) -> None:
+        self.checked[k] += 1
         try:
             self.wl.check(self.inputs, self.expected, k, result)
         except workloads.Failure as exc:
@@ -93,22 +102,30 @@ class Checker:
             self.reported["pair_count"] += result.pair_count
             self.reported["reports"] += 1
 
-    def final(self, lib) -> bool:
+    def final(self, lib, calls: int) -> bool:
+        """True when every one of the round's `calls` positions gave at
+        least one checked result and no check failed."""
+        unchecked = [k for k in range(calls) if not self.checked[k]]
+        if unchecked:
+            self.problems.append(f"no checked result from calls {unchecked[:5]}"
+                                 f" of {calls} in a round")
         try:
             self.wl.final_check(lib)
         except workloads.Failure as exc:
             self.problems.append(str(exc))
+        except Exception as exc:  # noqa: BLE001 -- a crash is a failed check
+            self.problems.append(f"final check raised {exc!r}")
         for msg in self.problems[:5]:
             print(f"check failed: {msg}", file=sys.stderr)
         return not self.problems
 
 
-def run_rounds(wl, lib, prepared, workers, check, seconds=None, rounds=None):
+def run_rounds(wl, lib, prepared, check, seconds=None, rounds=None):
     """Whole rounds of the workload's calls, until `seconds` have passed
     or `rounds` are done; check(k, result) sees each result of call k of
     a round.  Returns (spans, items, failed, rounds): spans are the
     (start, end) of every call, failed ones included."""
-    ops = wl.ops(lib, prepared, workers)
+    ops = wl.ops(lib, prepared)
     spans = []
     items = failed = done = 0
     clock = time.perf_counter
@@ -147,27 +164,31 @@ def end_to_end(wl, inputs, seconds):
     """Set-up and timed rounds, in reference seconds (calibrate.py)."""
     check = Checker(wl, inputs, wl.expect(inputs))
     with calibrate.SpeedProbe() as probe:
-        lib, prepared, setup_spans = set_up(wl, inputs)
+        setups = timed_set_ups(wl, inputs, probe)
+        lib, prepared = set_up(wl, inputs)
         spans, items, failed, rounds = run_rounds(
-            wl, lib, prepared, wl.workers, check, seconds=seconds)
+            wl, lib, prepared, check, seconds=seconds)
     rss = peak_rss_mb()
     ref = [probe.reference_seconds(t0, t1) for t0, t1 in spans]
     metrics = {
-        "setup_s": (statistics.median(probe.reference_seconds(t0, t1)
-                                      for t0, t1 in setup_spans), "s"),
+        "setup_s": (statistics.median(
+            probe.reference_seconds(t0, done) - probe.reference_seconds(*own)
+            for t0, done, own in setups), "s"),
         "items_per_s": (items / sum(ref), "1/s"),
         "op_ms_p50": (statistics.median(ref) * 1000.0, "ms"),
         "peak_rss_mb": (rss, "MB"),
     }
     walls = [t1 - t0 for t0, t1 in spans]
     raw = {"rounds": rounds,
-           "wall_setup_s": statistics.median(t1 - t0 for t0, t1 in setup_spans),
+           "wall_setup_s": statistics.median(done - t0 - (own[1] - own[0])
+                                             for t0, done, own in setups),
            "wall_items_per_s": items / sum(walls),
            "wall_op_ms_p50": statistics.median(walls) * 1000.0,
            "ref_loop_ms_p50": statistics.median(
                d for _, d in probe.samples) * 1000.0,
            "ref_loop_samples": len(probe.samples)}
-    return check.final(lib), len(spans), failed, metrics, raw
+    calls = len(wl.ops(lib, prepared))
+    return check.final(lib, calls), len(spans), failed, metrics, raw
 
 
 def counter_checks(layer, reported) -> dict:
@@ -187,28 +208,32 @@ def counter_checks(layer, reported) -> dict:
 
 
 def traced(wl, inputs, seed, seconds):
-    """Untraced then traced rounds at workers=1; per-layer metrics."""
+    """Untraced rounds for half of `seconds`, then wl.trace_rounds traced
+    rounds; per-layer metrics.  The traced rounds are a fixed number, so
+    every count is the same on a fast and on a slow machine."""
     expected = wl.expect(inputs)
-    lib, prepared, _ = set_up(wl, inputs)
+    lib, prepared = set_up(wl, inputs)
+    calls = len(wl.ops(lib, prepared))
     plain_check = Checker(wl, inputs, expected)
     check = Checker(wl, inputs, expected)
     tracer = tracing.Tracer(lib.modules())
     with calibrate.SpeedProbe() as probe:
-        plain_spans, _, failed_a, rounds = run_rounds(
-            wl, lib, prepared, 1, plain_check, seconds=seconds / 2.0)
+        plain_spans, _, failed_a, plain_rounds = run_rounds(
+            wl, lib, prepared, plain_check, seconds=seconds / 2.0)
         tracer.install()
         try:
             traced_spans, _, failed_b, _ = run_rounds(
-                wl, lib, prepared, 1, check, rounds=rounds)
+                wl, lib, prepared, check, rounds=wl.trace_rounds)
         finally:
             tracer.uninstall()
     layer = tracer.layer_metrics()
-    # in reference seconds, so that a drift of the machine's speed between
-    # the two halves does not pass for tracing overhead
+    # time per round in reference seconds, so that a drift of the
+    # machine's speed between the two halves does not pass for overhead
     plain_s = sum(probe.reference_seconds(*span) for span in plain_spans)
     traced_s = sum(probe.reference_seconds(*span) for span in traced_spans)
-    overhead = (traced_s / plain_s - 1.0) * 100.0
-    ok = plain_check.final(lib) and check.final(lib)
+    overhead = ((traced_s / wl.trace_rounds) / (plain_s / plain_rounds)
+                - 1.0) * 100.0
+    ok = plain_check.final(lib, calls) and check.final(lib, calls)
     for name, (got, want) in counter_checks(layer, check.reported).items():
         if got != want:
             print(f"trace counters: {name} fails: {got} != {want}",
@@ -227,7 +252,7 @@ def traced(wl, inputs, seed, seconds):
     metrics["trace.overhead_pct"] = (overhead, "%")
     attempted = len(plain_spans) + len(traced_spans)
     raw = {"untraced_ref_s": plain_s, "traced_ref_s": traced_s,
-           "rounds": rounds}
+           "untraced_rounds": plain_rounds, "traced_rounds": wl.trace_rounds}
     return ok, attempted, failed_a + failed_b, metrics, raw
 
 
@@ -249,7 +274,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.seconds <= 0:
         ap.error("--seconds must be positive")
-    src = str((ROOT / "src").resolve())
+    src = str(SRC.resolve())
     if src not in sys.path:
         sys.path.insert(0, src)
     try:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import calibrate
 import ownfield
 import run
 import tracer as tracing
@@ -102,7 +103,7 @@ def test_orbit_partition_shape_matches_a_twist_search(lib):
 
 
 def test_search_check_rejects_a_wrong_report(lib):
-    wl = workloads.SearchWorkload("t", 2, 1, 3, workers=1)
+    wl = workloads.SearchWorkload("t", 2, 1, 3)
     inputs = wl.generate(0)
     expected = wl.expect(inputs)
     rep = lib.classify.bucket_search(2, 1, 3, modulus=inputs["modulus"])
@@ -193,6 +194,53 @@ def test_traced_pair_attributes_core_time_by_case(lib):
     assert v.case == "pseudoregulus"
     assert layer["classify.core_calls"] == 1
     assert layer["classify.core_s.pseudoregulus"] == layer["classify.core_s"] > 0
+
+
+def test_traced_counts_are_a_fixed_number_of_rounds(capsys):
+    wl = workloads.WORKLOADS["pairs-mixed"]
+    assert run.main(["--workload", "pairs-mixed", "--seed", "2",
+                     "--seconds", "0.01", "--trace", "1"]) == 0
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert out["correct"] is True
+    calls = len(wl.generate(2)["pairs"])
+    assert out["metrics"]["classify.core_calls"]["value"] == \
+        calls * wl.trace_rounds
+    # the untraced half of 0.005 s is one whole round
+    assert out["attempted"] == calls * (1 + wl.trace_rounds)
+
+
+# -- the run's own rules ---------------------------------------------------------------
+
+def test_checker_refuses_a_round_without_checked_results(lib):
+    wl = workloads.WORKLOADS["verify-3-3"]
+    assert run.Checker(wl, {}, {}).final(lib, 1) is False
+    check = run.Checker(wl, {}, {})
+    check(0, True)
+    assert check.final(lib, 1) is True
+
+
+def test_checker_turns_a_crash_of_the_final_check_into_a_failure(lib):
+    wl = workloads.SearchWorkload("t", 2, 1, 3, pool_check=(2, 1, 3))
+    check = run.Checker(wl, {}, {})
+    check.checked[0] = 1
+
+    class Broken:
+        classify = None  # bucket_search cannot be found
+    assert check.final(Broken(), 1) is False
+    assert "raised" in check.problems[-1]
+
+
+def test_reference_seconds_integrate_a_change_of_speed():
+    probe = calibrate.SpeedProbe()
+    ref = calibrate.REFERENCE_LOOP_S
+    # 10 s at the reference speed, then 10 s at half of it
+    probe.samples = [(0.05 + 0.1 * i, ref if i < 100 else 2 * ref)
+                     for i in range(200)]
+    probe.index()
+    assert probe.reference_seconds(0.0, 20.0) == pytest.approx(15.0, rel=1e-3)
+    assert probe.reference_seconds(10.0, 20.0) == pytest.approx(5.0, rel=1e-2)
+    # a short stretch takes the speed of its nine nearest samples
+    assert probe.reference_seconds(2.0, 2.3) == pytest.approx(0.3)
 
 
 # -- printed names -------------------------------------------------------------------

@@ -7,10 +7,14 @@ Each workload has these parts:
 * expect(inputs): the figures the checks compare against, computed by
   ownfield before anything is timed, never a stored copy of an earlier
   output;
-* prepare(lib, inputs): turns the data into program objects (towers and
+* plain(inputs): the part of the inputs that prepare() reads, as data
+  that JSON carries unchanged, so that a fresh interpreter can set up;
+* prepare(lib, plain): turns that data into program objects (towers and
   their tables, twist tables, polynomials) -- the set-up that setup_s
   times;
-* ops(lib, prepared, workers): the calls of one round;
+* ops(lib, prepared): the calls of one round, all at workers=1;
+* trace_rounds: how many rounds a traced run makes, fixed per workload
+  so that the per-layer counts do not depend on the machine's speed;
 * check(inputs, expected, k, result): run on each result as soon as call
   k of a round returns, so that no result outlives its check and the
   peak memory does not depend on how many rounds fit in a run;
@@ -37,12 +41,13 @@ class Failure(Exception):
 class SearchWorkload:
     """One full bucket_search at (p^e, n) over a seeded choice of modulus."""
 
-    def __init__(self, name, p, e, n, workers, budget=None,
+    trace_rounds = 1
+
+    def __init__(self, name, p, e, n, budget=None,
                  modulo_twist=False, members_checked=True, pool_check=None):
         self.name = name
         self.pool_check = pool_check
         self.p, self.e, self.n = p, e, n
-        self.workers = workers
         self.budget = budget
         self.modulo_twist = modulo_twist
         self.members_checked = members_checked
@@ -52,17 +57,20 @@ class SearchWorkload:
         moduli = ownfield.irreducible_moduli(self.p, self.e * self.n)
         return {"modulus": random.Random(seed).choice(moduli)}
 
-    def prepare(self, lib, inputs) -> dict:
-        tower = lib.gf.build_tower(self.p, self.e, self.n, inputs["modulus"])
+    def plain(self, inputs) -> dict:
+        return {"modulus": list(inputs["modulus"])}
+
+    def prepare(self, lib, plain) -> dict:
+        tower = lib.gf.build_tower(self.p, self.e, self.n, plain["modulus"])
         twist_tables = getattr(lib.classify, "_twist_tables", None)
         if twist_tables is not None:
             twist_tables(tower)
-        return {"modulus": inputs["modulus"]}
+        return {"modulus": plain["modulus"]}
 
-    def ops(self, lib, prepared, workers):
+    def ops(self, lib, prepared):
         def search():
             return lib.classify.bucket_search(
-                self.p, self.e, self.n, self.budget, workers=workers,
+                self.p, self.e, self.n, self.budget, workers=1,
                 modulo_twist=self.modulo_twist, modulus=prepared["modulus"])
         return [search]
 
@@ -152,24 +160,28 @@ def _check_members(rep, masks) -> None:
 class VerifyWorkload:
     """verify_club_uniqueness over a seeded choice of modulus."""
 
+    trace_rounds = 3
+
     def __init__(self, name, p, e, n):
         self.name = name
         self.p, self.e, self.n = p, e, n
-        self.workers = 1
         self.total_ids = (p ** (e * n)) ** n
 
     def generate(self, seed: int) -> dict:
         moduli = ownfield.irreducible_moduli(self.p, self.e * self.n)
         return {"modulus": random.Random(seed).choice(moduli)}
 
-    def prepare(self, lib, inputs) -> dict:
-        lib.gf.build_tower(self.p, self.e, self.n, inputs["modulus"])
-        return {"modulus": inputs["modulus"]}
+    def plain(self, inputs) -> dict:
+        return {"modulus": list(inputs["modulus"])}
 
-    def ops(self, lib, prepared, workers):
+    def prepare(self, lib, plain) -> dict:
+        lib.gf.build_tower(self.p, self.e, self.n, plain["modulus"])
+        return {"modulus": plain["modulus"]}
+
+    def ops(self, lib, prepared):
         def verify():
             return lib.classify.verify_club_uniqueness(
-                self.p, self.e, self.n, workers=workers,
+                self.p, self.e, self.n, workers=1,
                 modulus=prepared["modulus"])
         return [verify]
 
@@ -290,9 +302,10 @@ def _gcd(a, b):
 class PairsWorkload:
     """classify_pair then replay_verdict over a seeded batch of pairs."""
 
+    trace_rounds = 20
+
     def __init__(self, name):
         self.name = name
-        self.workers = 1
 
     def generate(self, seed: int) -> dict:
         rng = random.Random(seed)
@@ -308,19 +321,22 @@ class PairsWorkload:
             for _ in range(count):
                 f, g = _draw_pair(kind, tower, rng)
                 pairs.append({"kind": kind, "p": p, "n": n, "f": f, "g": g})
-        return {"pairs": pairs,
-                "moduli": {k: t.field._modulus for k, t in towers.items()},
-                "towers": towers}
+        return {"pairs": pairs, "towers": towers}
 
-    def prepare(self, lib, inputs) -> dict:
+    def plain(self, inputs) -> dict:
+        return {"pairs": inputs["pairs"],
+                "moduli": [[p, n, list(t.field._modulus)]
+                           for (p, n), t in inputs["towers"].items()]}
+
+    def prepare(self, lib, plain) -> dict:
         Poly = lib.linpoly.LinearizedPolynomial
-        towers = {k: lib.gf.build_tower(k[0], 1, k[1], m)
-                  for k, m in inputs["moduli"].items()}
+        towers = {(p, n): lib.gf.build_tower(p, 1, n, m)
+                  for p, n, m in plain["moduli"]}
         return {"pairs": [(Poly(towers[pr["p"], pr["n"]], pr["f"]),
                            Poly(towers[pr["p"], pr["n"]], pr["g"]))
-                          for pr in inputs["pairs"]]}
+                          for pr in plain["pairs"]]}
 
-    def ops(self, lib, prepared, workers):
+    def ops(self, lib, prepared):
         classify_pair = lib.classify.classify_pair
         replay = lib.classify.replay_verdict
 
@@ -360,10 +376,10 @@ def _expect(cond, message) -> None:
 
 
 WORKLOADS = {
-    "search-2-4": SearchWorkload("search-2-4", 2, 1, 4, workers=1),
+    "search-2-4": SearchWorkload("search-2-4", 2, 1, 4),
     # two workers on the shared two-core build machine spread 17% from
     # run to run, so the pool is checked at (3,3) but not timed
-    "twist-5-3": SearchWorkload("twist-5-3", 5, 1, 3, workers=1,
+    "twist-5-3": SearchWorkload("twist-5-3", 5, 1, 3,
                                 budget=5 ** 9, modulo_twist=True,
                                 members_checked=False, pool_check=(3, 1, 3)),
     "pairs-mixed": PairsWorkload("pairs-mixed"),
