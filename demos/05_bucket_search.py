@@ -2,10 +2,10 @@
 Exhaustive fingerprint-bucket searches
 ======================================
 
-Scan every q-polynomial over a small field, bucket the graphs by the
-digest of their principal-minor fingerprint, classify every equal-set
-pair inside each bucket, and confirm that no pair falls outside the
-expected cases.
+Scan every q-polynomial over a small field, bucket the graphs by their
+exact principal-minor fingerprint (each bucket is named by the
+fingerprint's 64-bit digest), classify every equal-set pair inside each
+bucket, and confirm that no pair falls outside the expected cases.
 """
 
 import json

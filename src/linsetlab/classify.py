@@ -3,9 +3,10 @@
 classify_pair tests a pair of graph subspaces with equal principal-minor
 fingerprints against a five-way case list: scalar multiple, perp multiple,
 pseudoregulus, generalized pseudoregulus, generalized perp.  bucket_search
-scans the full coefficient space at small (q, n), groups graphs by
-fingerprint into buckets, and classifies every intra-bucket pair; reports
-are byte-identical for any worker count.
+scans the full coefficient space at small (q, n), groups graphs by exact
+fingerprint into buckets named by the fingerprint's 64-bit digest, and
+classifies every intra-bucket pair; reports are byte-identical for any
+worker count.
 """
 
 import math
@@ -15,9 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .dickson import DicksonMatrix
+from .dickson import DicksonMatrix, fingerprint_digest
 from .errors import (
     AmbientMismatchError,
+    BadParametersError,
     BudgetExceededError,
     DecompositionFailedError,
     NotEqualSetsError,
@@ -278,6 +280,9 @@ def _attempt_generalized(f: LinearizedPolynomial, g: LinearizedPolynomial,
 def _classify_core(f: LinearizedPolynomial, g: LinearizedPolynomial,
                    A: DicksonMatrix, B: DicksonMatrix, exhaustive: bool,
                    certificate: Optional[List[str]]):
+    """Cases that hold for a pair whose fingerprints A and B are equal; the
+    caller guarantees that equality (classify_pair checks it, and bucket
+    members share an exact fingerprint key)."""
     t = f.tower
     note = certificate.append if certificate is not None else (lambda s: None)
     matched: List[str] = []
@@ -301,8 +306,7 @@ def _classify_core(f: LinearizedPolynomial, g: LinearizedPolynomial,
     if t.n >= 5:
         fw = pseudoregulus_witness(f)
         gw = pseudoregulus_witness(g) if fw is not None else None
-        if (fw is not None and gw is not None
-                and A.fingerprint() == B.fingerprint()):
+        if fw is not None and gw is not None:
             matched.append("pseudoregulus")
             witnesses["pseudoregulus"] = {
                 "i": fw["i"], "j": gw["i"],
@@ -583,17 +587,18 @@ def _decode_filtered(tower: FieldTower, pid: int, modulo_twist: bool,
     return coeffs
 
 
-def _scan_worker(args) -> List[Tuple[int, int]]:
+def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
+    """Exact fingerprint -> ascending ids of one chunk's kept candidates."""
     descriptor, lo, hi, ids, modulo_twist = args
     tower = build_tower(*descriptor)
     twist_data = _twist_tables(tower) if modulo_twist else None
-    out = []
+    groups: Dict[Tuple[int, ...], List[int]] = {}
     for pid in (ids if ids is not None else range(lo, hi)):
         coeffs = _decode_filtered(tower, pid, modulo_twist, twist_data)
-        if coeffs is None:
-            continue
-        out.append((DicksonMatrix(tower, coeffs).digest(), pid))
-    return out
+        if coeffs is not None:
+            fp = DicksonMatrix(tower, coeffs).fingerprint()
+            groups.setdefault(fp, []).append(pid)
+    return groups
 
 
 def _classify_worker(args):
@@ -717,6 +722,51 @@ def _run_chunks(worker, chunk_args, workers: int):
             yield res
 
 
+def _scan_buckets(tower: FieldTower, budget: Optional[int],
+                  id_list: Optional[List[int]], modulo_twist: bool,
+                  workers: int, progress: Optional[Callable[[int, int], None]]):
+    """Scan id_list (every id when None) and bucket the kept candidates by
+    exact fingerprint; returns (visited, [(key, ascending ids)] in key
+    order, digest_collisions).  A key is the 16-hex-digit digest of the
+    fingerprint, suffixed -1, -2, ... in order of first member when
+    distinct fingerprints share a digest."""
+    if workers < 1:
+        raise BadParametersError(f"workers must be at least 1, got {workers}")
+    total = tower.order ** tower.n
+    limit = enumeration_budget() if budget is None else budget
+    if id_list is None and total > limit:
+        raise BudgetExceededError(
+            f"{total} candidate polynomials exceed the budget {limit}")
+    descriptor = (tower.p, tower.e, tower.n, tower.modulus)
+    if id_list is None:
+        chunk_args = [(descriptor, lo, min(lo + SCAN_CHUNK, total), None,
+                       modulo_twist) for lo in range(0, total, SCAN_CHUNK)]
+    else:
+        chunk_args = [(descriptor, 0, 0, id_list[k:k + SCAN_CHUNK],
+                       modulo_twist)
+                      for k in range(0, len(id_list), SCAN_CHUNK)]
+    visited = total if id_list is None else len(id_list)
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    next_tick = PROGRESS_EVERY
+    for k, res in enumerate(_run_chunks(_scan_worker, chunk_args, workers)):
+        for fp, ids in res.items():
+            groups.setdefault(fp, []).extend(ids)
+        done = min((k + 1) * SCAN_CHUNK, visited)
+        if progress is not None and done >= next_tick:
+            progress(done, visited)
+            next_tick += PROGRESS_EVERY
+    by_digest: Dict[int, List[List[int]]] = {}
+    for fp, ids in groups.items():
+        by_digest.setdefault(fingerprint_digest(tower, fp), []).append(ids)
+    members = []
+    for digest in sorted(by_digest):
+        for idx, ids in enumerate(sorted(by_digest[digest])):
+            members.append((f"{digest:016x}" + (f"-{idx}" if idx else ""),
+                            ids))
+    collisions = sum(len(v) > 1 for v in by_digest.values())
+    return visited, members, collisions
+
+
 def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
                   workers: int = 1, modulo_twist: bool = False,
                   paranoid: bool = False,
@@ -725,73 +775,32 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
                   modulus: Optional[Sequence[int]] = None,
                   progress: Optional[Callable[[int, int], None]] = None
                   ) -> BucketReport:
-    """Scan every linearized polynomial at (q, n), bucket by fingerprint,
-    and classify all intra-bucket pairs.
+    """Scan every linearized polynomial at (q, n), bucket by exact
+    fingerprint, and classify all intra-bucket pairs.
 
     Candidates whose function-level field of linearity exceeds F_q are
     filtered out; with modulo_twist only the canonical member of each twist
-    orbit is kept.  The report is independent of the worker count: the id
+    orbit is kept; with sample=k only a deterministic random sample of k
+    ids is scanned.  The report is independent of the worker count: the id
     space is cut into fixed chunks and merged in order.
     """
     tower = build_tower(p, e, n, modulus)
     descriptor = (p, e, n, tower.modulus)
     total = tower.order ** n
-    limit = enumeration_budget() if budget is None else budget
-    if total > limit and sample is None:
-        raise BudgetExceededError(
-            f"{total} candidate polynomials exceed the budget {limit}; "
-            "pass a larger budget or request a sample")
+    if sample is not None and sample < 1:
+        raise BadParametersError(f"sample must be at least 1, got {sample}")
     if check_linearity is None:
         check_linearity = tower.order <= 32
 
-    if sample is not None and total > limit:
+    id_list = None
+    if sample is not None:
         rng = random.Random(0)
         id_list = sorted(rng.sample(range(total), min(sample, total)))
-        chunk_args = [(descriptor, 0, 0, id_list[k:k + SCAN_CHUNK],
-                       modulo_twist)
-                      for k in range(0, len(id_list), SCAN_CHUNK)]
-        visited = len(id_list)
-    else:
-        chunk_args = [(descriptor, lo, min(lo + SCAN_CHUNK, total), None,
-                       modulo_twist)
-                      for lo in range(0, total, SCAN_CHUNK)]
-        visited = total
-
-    digest_map: Dict[int, List[int]] = {}
-    done = 0
-    next_tick = PROGRESS_EVERY
-    for k, res in enumerate(_run_chunks(_scan_worker, chunk_args, workers)):
-        for digest, pid in res:
-            digest_map.setdefault(digest, []).append(pid)
-        args = chunk_args[k]
-        done += len(args[3]) if args[3] is not None else args[2] - args[1]
-        if progress is not None and done >= next_tick:
-            progress(done, visited)
-            next_tick += PROGRESS_EVERY
-    scanned = sum(len(v) for v in digest_map.values())
-
-    # digest collisions are resolved by comparing full fingerprints
-    buckets: Dict[str, dict] = {}
-    bucket_members: List[Tuple[str, List[int]]] = []
-    collisions = 0
-    for digest in sorted(digest_map):
-        ids = digest_map[digest]
-        base_key = f"{digest:016x}"
-        if len(ids) == 1:
-            buckets[base_key] = {"size": 1, "cases": {}}
-            bucket_members.append((base_key, ids))
-            continue
-        groups: Dict[tuple, List[int]] = {}
-        for pid in ids:
-            fp = DicksonMatrix.from_poly(poly_from_id(tower, pid)).fingerprint()
-            groups.setdefault(fp, []).append(pid)
-        ordered = sorted(groups.values(), key=lambda g: g[0])
-        if len(ordered) > 1:
-            collisions += 1
-        for idx, group in enumerate(ordered):
-            key = base_key if idx == 0 else f"{base_key}-{idx}"
-            buckets[key] = {"size": len(group), "cases": {}}
-            bucket_members.append((key, group))
+    visited, bucket_members, collisions = _scan_buckets(
+        tower, budget, id_list, modulo_twist, workers, progress)
+    scanned = sum(len(ids) for _, ids in bucket_members)
+    buckets: Dict[str, dict] = {key: {"size": len(ids), "cases": {}}
+                                for key, ids in bucket_members}
 
     if check_linearity:
         work_items = list(bucket_members)
@@ -861,21 +870,6 @@ def is_club_coeffs(tower: FieldTower, coeffs: Sequence[int]) -> bool:
     return tower.norm_to(c, 1) == 1
 
 
-def _club_worker(args):
-    descriptor, lo, hi = args
-    tower = build_tower(*descriptor)
-    out = []
-    for pid in range(lo, hi):
-        v = pid
-        coeffs = []
-        for _ in range(tower.n):
-            coeffs.append(v % tower.order)
-            v //= tower.order
-        digest = DicksonMatrix(tower, coeffs).digest()
-        out.append((digest, pid, is_club_coeffs(tower, coeffs)))
-    return out
-
-
 def verify_club_uniqueness(p: int, e: int, n: int,
                            budget: Optional[int] = None, *,
                            workers: int = 1,
@@ -887,39 +881,20 @@ def verify_club_uniqueness(p: int, e: int, n: int,
     if n < 3:
         raise ValueError("club uniqueness needs n >= 3")
     tower = build_tower(p, e, n, modulus)
-    descriptor = (p, e, n, tower.modulus)
-    total = tower.order ** n
-    limit = enumeration_budget() if budget is None else budget
-    if total > limit:
-        raise BudgetExceededError(
-            f"{total} candidate polynomials exceed the budget {limit}")
-    chunk_args = [(descriptor, lo, min(lo + SCAN_CHUNK, total))
-                  for lo in range(0, total, SCAN_CHUNK)]
-    digest_map: Dict[int, List[Tuple[int, bool]]] = {}
-    done = 0
-    next_tick = PROGRESS_EVERY
-    for k, res in enumerate(_run_chunks(_club_worker, chunk_args, workers)):
-        for digest, pid, club in res:
-            digest_map.setdefault(digest, []).append((pid, club))
-        done += chunk_args[k][2] - chunk_args[k][1]
-        if progress is not None and done >= next_tick:
-            progress(done, total)
-            next_tick += PROGRESS_EVERY
-    for digest in sorted(digest_map):
-        entries = digest_map[digest]
-        if not any(club for _, club in entries):
+    # the scan's gcd filter drops only F_(q^d)-linear graphs (d > 1), whose
+    # sets have at most (q^n-1)/(q^d-1) < q^(n-1)+1 points, fewer than a club
+    _, bucket_members, _ = _scan_buckets(tower, budget, None, False,
+                                         workers, progress)
+    twist_data = _twist_tables(tower)
+    for _, ids in bucket_members:
+        if len(ids) < 2:
             continue
-        groups: Dict[tuple, List[Tuple[int, bool]]] = {}
-        for pid, club in entries:
-            mat = DicksonMatrix.from_poly(poly_from_id(tower, pid))
-            groups.setdefault(mat.fingerprint(), []).append((pid, club))
-        for group in groups.values():
-            club_ids = [pid for pid, club in group if club]
-            if not club_ids:
-                continue
-            rep = DicksonMatrix.from_poly(poly_from_id(tower, club_ids[0]))
-            for pid, _ in group:
-                other = DicksonMatrix.from_poly(poly_from_id(tower, pid))
-                if rep.diag_similar(other) is None:
-                    return False
+        members = [poly_from_id(tower, pid).coeffs for pid in ids]
+        if not any(is_club_coeffs(tower, c) for c in members):
+            continue
+        # one twist-canonical form per bucket: b_i = a_i * lambda^(q^i - 1),
+        # the relation diag_similar tests
+        forms = {_twist_canonical_form(tower, c, twist_data) for c in members}
+        if len(forms) > 1:
+            return False
     return True

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from . import linalg
 from .errors import (
     AmbientMismatchError,
+    BadParametersError,
     NonPrimeError,
     NotADivisorError,
     TooLargeError,
@@ -32,7 +33,14 @@ _ADD_TABLE_CAP = 2 ** 10
 def enumeration_budget() -> int:
     """Element-enumeration budget; override with env var LINSETLAB_BUDGET."""
     raw = os.environ.get("LINSETLAB_BUDGET")
-    return int(raw) if raw else DEFAULT_ENUM_BUDGET
+    try:
+        budget = int(raw) if raw else DEFAULT_ENUM_BUDGET
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise BadParametersError(
+            f"LINSETLAB_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _is_prime(p: int) -> bool:

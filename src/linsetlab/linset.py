@@ -350,8 +350,10 @@ def linear_set(U: Subspace) -> LinearSet:
         counts[p] = counts.get(p, 0) + 1
     points: Dict[Point, int] = {}
     for p, c in counts.items():
-        w = round(math.log(c + 1, q))
-        if q ** w != c + 1:
+        w, qw = 0, 1
+        while qw < c + 1:
+            w, qw = w + 1, qw * q
+        if qw != c + 1:
             raise AssertionError("point multiplicity is not q^w - 1")
         points[p] = w
     ls = LinearSet(t, U.r, U.m, points)

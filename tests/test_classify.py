@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linsetlab import classify
 from linsetlab.classify import (
@@ -23,6 +24,7 @@ from linsetlab.classify import (
 from linsetlab.dickson import DicksonMatrix
 from linsetlab.errors import (
     AmbientMismatchError,
+    BadParametersError,
     BudgetExceededError,
     NotEqualSetsError,
 )
@@ -506,10 +508,11 @@ def test_bucket_search_paranoid_replays_clean():
 
 
 def test_bucket_search_digest_collisions_resolved(monkeypatch):
-    # squash the digest to force collisions; fingerprints must still separate
-    true_digest = DicksonMatrix.digest
-    monkeypatch.setattr(DicksonMatrix, "digest",
-                        lambda self, bound=12: true_digest(self, bound) % 64)
+    # squash the naming digest to force collisions; fingerprints must still
+    # separate
+    true_digest = classify.fingerprint_digest
+    monkeypatch.setattr(classify, "fingerprint_digest",
+                        lambda t, fp: true_digest(t, fp) % 64)
     squashed = bucket_search(2, 1, 3)
     monkeypatch.undo()
     full = bucket_search(2, 1, 3)
@@ -518,6 +521,37 @@ def test_bucket_search_digest_collisions_resolved(monkeypatch):
         sorted(b["size"] for b in full.buckets.values())
     assert squashed.histogram == full.histogram
     assert squashed.theorem_confirmed
+    # every exact fingerprint keeps a bucket key of its own
+    assert sorted(b["members"] for b in squashed.buckets.values()) == \
+        sorted(b["members"] for b in full.buckets.values())
+
+
+@pytest.mark.parametrize("p, modulo_twist", [(2, False), (3, True)])
+def test_bucket_keys_are_exact_fingerprints(p, modulo_twist):
+    t = build_tower(p, 1, 3)
+    rep = bucket_search(p, 1, 3, modulo_twist=modulo_twist)
+    key_of = {}
+    for key, bucket in rep.buckets.items():
+        for pid in bucket["members"]:
+            fp = DicksonMatrix.from_poly(poly_from_id(t, pid)).fingerprint()
+            key_of.setdefault(fp, set()).add(key)
+    # one key per fingerprint and one fingerprint per key
+    assert all(len(keys) == 1 for keys in key_of.values())
+    assert len(key_of) == rep.bucket_count
+
+
+def test_bucket_search_rejects_bad_workers_and_sample():
+    for workers in (0, -3):
+        with pytest.raises(BadParametersError):
+            bucket_search(2, 1, 3, workers=workers)
+        with pytest.raises(BadParametersError):
+            verify_club_uniqueness(2, 1, 3, workers=workers)
+    for sample in (0, -1):
+        with pytest.raises(BadParametersError):
+            bucket_search(2, 1, 3, sample=sample)
+    # a sample is honoured even when the whole space fits the budget
+    rep = bucket_search(2, 1, 3, sample=5)
+    assert rep.params["visited"] == 5 and rep.params["sample"] == 5
 
 
 def test_bucket_search_progress_and_csv(monkeypatch):
@@ -551,3 +585,49 @@ def test_verify_club_uniqueness_small():
         verify_club_uniqueness(2, 1, 2)
     with pytest.raises(BudgetExceededError):
         verify_club_uniqueness(2, 1, 6, budget=1000)
+
+
+def test_verify_club_uniqueness_catches_a_mixed_bucket(monkeypatch):
+    # flag every graph with a full tail as a club: some such bucket then
+    # holds graphs from more than one twist orbit
+    monkeypatch.setattr(classify, "is_club_coeffs",
+                        lambda t, coeffs: all(coeffs[1:]))
+    assert verify_club_uniqueness(3, 1, 3) is False
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_gcd_filtered_ids_never_share_a_club_fingerprint(p):
+    t = build_tower(p, 1, 3)
+    club_fps, dropped_fps = set(), set()
+    for pid in range(t.order ** 3):
+        coeffs = coeffs_of_id(t, pid)
+        kept = classify._decode_filtered(t, pid, False, None) is not None
+        if kept and not is_club_coeffs(t, coeffs):
+            continue
+        fp = DicksonMatrix(t, coeffs).fingerprint()
+        (club_fps if kept else dropped_fps).add(fp)
+    assert club_fps and dropped_fps
+    assert not club_fps & dropped_fps
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), pen=st.sampled_from([(2, 1, 4), (3, 1, 3), (5, 1, 3)]),
+       twisted=st.booleans())
+def test_twist_canonical_form_agrees_with_diag_similar(data, pen, twisted):
+    t = build_tower(*pen)
+    tables = _twist_tables(t)
+    # zeros often, so that leading tail indices with a nontrivial
+    # stabilizer come up
+    coeff = st.just(0) | st.integers(1, t.order - 1)
+    f = data.draw(st.lists(coeff, min_size=t.n, max_size=t.n))
+    if twisted:
+        lam = data.draw(st.integers(1, t.order - 1))
+        g = [t.mul(c, t.pow(lam, t.q ** i - 1)) for i, c in enumerate(f)]
+    else:
+        g = data.draw(st.lists(coeff, min_size=t.n, max_size=t.n))
+    same_form = (_twist_canonical_form(t, f, tables)
+                 == _twist_canonical_form(t, g, tables))
+    similar = DicksonMatrix(t, f).diag_similar(DicksonMatrix(t, g)) is not None
+    assert same_form == similar
+    if twisted:
+        assert same_form

@@ -106,6 +106,28 @@ def test_field_info_budget_env(capsys, monkeypatch):
     assert json.loads(out)["enumeration_budget"] == 12345
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--workers", "0"],
+    ["search", "--workers", "-3"],
+    ["verify", "--workers", "0"],
+    ["search", "--sample", "-1"],
+])
+def test_bad_workers_and_sample_are_one_line_errors(capsys, argv):
+    code, out, err = run(capsys, argv[:1] + ["--p", "2", "--e", "1", "--n", "3"]
+                         + argv[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_bad_budget_env_is_one_line_error(capsys, monkeypatch):
+    for raw in ("abc", "0", "-5"):
+        monkeypatch.setenv("LINSETLAB_BUDGET", raw)
+        code, _, err = run(capsys, ["field-info", "--p", "2", "--e", "1",
+                                    "--n", "3"])
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_construct_families(capsys):
     code, out, _ = run(capsys, ["construct", "--p", "2", "--e", "1", "--n", "4",
                                 "--family", "club", "--a", "0", "--b", "1",
