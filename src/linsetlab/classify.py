@@ -10,6 +10,7 @@ worker count.
 """
 
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +29,6 @@ from .gf import FieldTower, build_tower, enumeration_budget
 from .linpoly import LinearizedPolynomial, poly_from_id
 from .linset import (
     Subspace,
-    _span_elements,
     _two_generator_witness,
     decompose,
     graph_subspace,
@@ -76,37 +76,11 @@ def _proper_divisors(n: int) -> List[int]:
     return [d for d in range(2, n) if n % d == 0]
 
 
-def _dlog_solve(tower: FieldTower, value: int, k: int) -> Optional[int]:
-    """Deterministic solution u of u**k == value in the big field, or None."""
-    if value == 0 or not tower.has_tables:
-        return None
-    onum = tower.order - 1
-    if onum == 1:
-        return 1 if value == 1 else None
-    lv = tower._log[value]
-    g = math.gcd(k, onum)
-    if lv % g:
-        return None
-    red = onum // g
-    u_log = ((lv // g) * pow(k // g, -1, red)) % red if red > 1 else 0
-    return tower._exp[u_log]
-
-
-def _eval_coeffs(tower: FieldTower, coeffs: Sequence[int], y: int) -> int:
-    acc = 0
-    for k, c in enumerate(coeffs):
-        if c:
-            acc = tower.add(acc, tower.mul(c, tower.frobenius(y, k)))
-    return acc
-
-
 def _inner_point_tags(tower: FieldTower, coeffs: Sequence[int], d: int) -> frozenset:
     """Slopes of the inner graph over the nonzero subfield scalars."""
-    tags = set()
-    for y in tower.subfield_elements(d):
-        if y:
-            tags.add(tower.div(_eval_coeffs(tower, coeffs, y), y))
-    return frozenset(tags)
+    g = LinearizedPolynomial(tower, coeffs)
+    return frozenset(tower.div(g.evaluate(y), y)
+                     for y in tower.subfield_elements(d) if y)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +111,10 @@ def _detect_generalized(tower: FieldTower, coeffs: Sequence[int],
     cls0 = classes[i0]
     # the ratio of consecutive entries pins a up to F_(q^d) scalars
     ratio = tower.div(cls0[1], cls0[0])
-    u = _dlog_solve(tower, ratio, tower.q ** d - 1)
-    if u is None:
+    roots = tower.kth_roots(ratio, tower.q ** d - 1) if tower.has_tables else []
+    if not roots:
         return None
-    a = tower.frobenius(u, n - i0)
+    a = tower.frobenius(roots[0], n - i0)
     ks = {}
     for i, cls in classes.items():
         k_i = tower.div(cls[0], tower.frobenius(a, i))
@@ -166,10 +140,7 @@ def _match_inner(tower: FieldTower, dec, g: LinearizedPolynomial, tau: int,
         if gp.evaluate(v1) != v2:
             return None
     fpxi = dec.fprime.evaluate(dec.xi)
-    eta = tower.subfield_generator(d)
-    powers = [1]
-    for _ in range(d - 1):
-        powers.append(tower.mul(powers[-1], eta))
+    powers = tower.powers(tower.subfield_generator(d), d)
     # the scaled partner must meet the subline plane in a full inner graph
     rhs = []
     for y in powers:
@@ -230,17 +201,14 @@ def _attempt_generalized(f: LinearizedPolynomial, g: LinearizedPolynomial,
     # taus with tau * U_d inside the partner, via the stacked F_q-linear
     # conditions g(tau v1) = tau v2 over a basis of U_d
     n = t.n
-    basis_elems = [t.from_q_coords([1 if k == i else 0 for k in range(n)])
-                   for i in range(n)]
     rows = []
     for (v1, v2) in dec.u_d.basis:
         cols = [t.q_coords(t.sub(g.evaluate(t.mul(bk, v1)), t.mul(bk, v2)))
-                for bk in basis_elems]
+                for bk in t.power_basis]
         for r in range(n):
             rows.append([cols[k][r] for k in range(n)])
     kernel = linalg.nullspace(t, rows, n)
-    taus = [x for x in
-            _span_elements(t, [t.from_q_coords(v) for v in kernel]) if x]
+    taus = [x for x in t.span([t.from_q_coords(v) for v in kernel]) if x]
     if not taus:
         note(f"divisor {d}: no scaling carries U_d into the partner")
         return None
@@ -364,9 +332,7 @@ def classify_pair(f: LinearizedPolynomial, g: LinearizedPolynomial,
 def _two_generator_span(tower: FieldTower, i: int, v0, v1) -> Subspace:
     """The F_q-space {lam*v0 + lam^(q^i)*v1} built vector by vector."""
     vecs = []
-    for k in range(tower.n):
-        lam = tower.from_q_coords([1 if j == k else 0
-                                   for j in range(tower.n)])
+    for lam in tower.power_basis:
         lq = tower.frobenius(lam, i)
         vecs.append((tower.add(tower.mul(lam, v0[0]), tower.mul(lq, v1[0])),
                      tower.add(tower.mul(lam, v0[1]), tower.mul(lq, v1[1]))))
@@ -439,13 +405,11 @@ def replay_verdict(f: LinearizedPolynomial, g: LinearizedPolynomial,
         wp = W.scale(wit["w_scale"])
         # the scaled partner is U_d plus the claimed inner graph
         fpxi = dec.fprime.evaluate(dec.xi)
-        eta = t.subfield_generator(d)
+        inner = LinearizedPolynomial(t, cs)
         vecs = list(dec.u_d.basis)
-        y = 1
-        for _ in range(d):
-            z = _eval_coeffs(t, cs, y)
-            vecs.append((t.mul(dec.xi, y), t.add(t.mul(fpxi, y), z)))
-            y = t.mul(y, eta)
+        for y in t.powers(t.subfield_generator(d), d):
+            vecs.append((t.mul(dec.xi, y),
+                         t.add(t.mul(fpxi, y), inner.evaluate(y))))
         if wp != Subspace(t, 2, vecs):
             return False
         if _inner_point_tags(t, bs, d) != _inner_point_tags(t, cs, d):
@@ -551,8 +515,7 @@ def _twist_canonical_form(tower: FieldTower, coeffs: Sequence[int],
         return tuple(coeffs)
     by_residue = mins[i0]
     target = by_residue[tower._log[coeffs[i0]] % len(by_residue)]
-    lam = _dlog_solve(tower, tower.div(target, coeffs[i0]),
-                      tower.q ** i0 - 1)
+    lam = tower.kth_roots(tower.div(target, coeffs[i0]), tower.q ** i0 - 1)[0]
     base = [tower.mul(c, tower.div(tower.frobenius(lam, j), lam)) if c else 0
             for j, c in enumerate(coeffs)]
     best = base
@@ -712,7 +675,9 @@ class BucketReport:
 
 
 def _run_chunks(worker, chunk_args, workers: int):
-    """Yield chunk results in submission order, inline or via a pool."""
+    """Yield chunk results in submission order, inline or via a pool of
+    at most one process per chunk and per CPU."""
+    workers = min(workers, len(chunk_args), os.cpu_count() or 1)
     if workers <= 1:
         for args in chunk_args:
             yield worker(args)
@@ -879,7 +844,7 @@ def verify_club_uniqueness(p: int, e: int, n: int,
     """Check that every bucket containing a club holds only twist-equivalent
     members: equal fingerprints force W = lambda U when L_U is a club."""
     if n < 3:
-        raise ValueError("club uniqueness needs n >= 3")
+        raise BadParametersError("club uniqueness needs n >= 3")
     tower = build_tower(p, e, n, modulus)
     # the scan's gcd filter drops only F_(q^d)-linear graphs (d > 1), whose
     # sets have at most (q^n-1)/(q^d-1) < q^(n-1)+1 points, fewer than a club

@@ -86,7 +86,10 @@ def parse_poly(tower: FieldTower, text: str) -> LinearizedPolynomial:
     text = text.strip()
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
-            return poly_from_json(tower, json.load(fh))
+            try:
+                return poly_from_json(tower, json.load(fh))
+            except (ValueError, KeyError, TypeError) as ex:
+                raise CliError(f"bad polynomial file {text[1:]!r}: {ex!r}") from None
     coeffs = [0] * tower.n
     if text == "0":
         return LinearizedPolynomial(tower, coeffs)
@@ -382,13 +385,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    except LinsetError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    except OSError as ex:
+    except (LinsetError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

@@ -258,7 +258,7 @@ class DicksonMatrix:
         target = t.div(b[i], a[i])
         if not t.in_subfield(target, s):
             return None
-        candidates = self._root_candidates(i, target)
+        candidates = t.kth_roots(target, t.q ** i - 1, s)
         verified = [lam for lam in candidates if self._verify_lambda(other, lam)]
         return min(verified) if verified else None
 
@@ -269,28 +269,6 @@ class DicksonMatrix:
             if t.mul(ak, factor) != bk:
                 return False
         return True
-
-    def _root_candidates(self, i: int, target: int) -> List[int]:
-        """All lambda in F_(q^s)^* with lambda^(q^i - 1) = target."""
-        t, s = self.tower, self.size
-        group = t.q ** s - 1
-        if t.has_tables:
-            step = t._onum // group  # embeds Z_(q^s-1) into the big cyclic group
-            tlog = t._log[target]
-            if tlog % step:
-                return []
-            rhs = tlog // step
-            coef = (t.q ** i - 1) % group
-            g = math.gcd(coef, group)
-            if rhs % g:
-                return []
-            red = group // g
-            t0 = (rhs // g) * pow(coef // g, -1, red) % red if red > 1 else 0
-            return [t._exp[((t0 + k * red) % group) * step] for k in range(g)]
-        if t.order > 2 ** 20:
-            raise TooLargeError("diagonal-similarity search needs log tables")
-        return [lam for lam in range(1, t.order)
-                if t.in_subfield(lam, s) and t.pow(lam, t.q ** i - 1) == target]
 
     def diag_similar_scan(self, other: "DicksonMatrix") -> Optional[int]:
         """Reference implementation: full ascending scan of F_(q^s)^*."""

@@ -12,6 +12,7 @@ operator overloading for everyday work.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -173,7 +174,7 @@ class FieldTower:
         if not _is_prime(p):
             raise NonPrimeError(f"p = {p} is not prime")
         if e < 1 or n < 1:
-            raise ValueError("e and n must be positive integers")
+            raise BadParametersError("e and n must be positive integers")
         self.p = p
         self.e = e
         self.n = n
@@ -188,9 +189,10 @@ class FieldTower:
         else:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != self.m + 1 or modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree e*n = {self.m}")
+                raise BadParametersError(
+                    f"modulus must be monic of degree e*n = {self.m}")
             if not _poly_is_irreducible(list(modulus), p):
-                raise ValueError("modulus is not irreducible over F_p")
+                raise BadParametersError("modulus is not irreducible over F_p")
         self.modulus: Tuple[int, ...] = tuple(modulus)
         self._neg_tail = tuple((-c) % p for c in self.modulus[:-1])
         self._mod_int = sum(c << i for i, c in enumerate(self.modulus)) if p == 2 else None
@@ -217,6 +219,7 @@ class FieldTower:
             self.neg = self._neg_digits
         if self.order <= _TABLE_CAP:
             self._build_log_tables()
+        self.power_basis: Tuple[int, ...] = self.powers(self.x_int, n)
 
     # -- representation helpers --------------------------------------------
 
@@ -466,6 +469,48 @@ class FieldTower:
             raise TooLargeError("subfield generator needs log tables")
         return self._exp[self._onum // (self.q ** d - 1)]
 
+    def powers(self, g: int, k: int) -> Tuple[int, ...]:
+        """(1, g, g^2, ..., g^(k-1)); with g = x this is the power basis,
+        with a generator of F_(q^d) and k = d a basis of that subfield."""
+        out = []
+        cur = 1
+        for _ in range(k):
+            out.append(cur)
+            cur = self.mul(cur, g)
+        return tuple(out)
+
+    def span(self, basis: Sequence[int]) -> List[int]:
+        """All elements of the F_q-span of basis, in base-q counter order."""
+        f_q = self.subfield_elements(1)
+        vals = [0]
+        for b in basis:
+            scaled = [self.mul(c, b) for c in f_q]
+            vals = [self.add(v, s) for s in scaled for v in vals]
+        return vals
+
+    def kth_roots(self, value: int, k: int, d: Optional[int] = None) -> List[int]:
+        """Every lambda in F_(q^d)^* (the whole field when d is None) with
+        lambda^k = value, read off the log tables; the first one listed has
+        the smallest discrete logarithm."""
+        d = self.n if d is None else d
+        self._check_divisor(d)
+        if self._exp is None:
+            raise TooLargeError("root extraction needs log tables")
+        if value == 0:
+            return []
+        group = self.q ** d - 1
+        step = self._onum // group  # embeds Z_(q^d-1) into the big cyclic group
+        vlog = self._log[value]
+        if vlog % step:
+            return []
+        rhs = vlog // step
+        g = math.gcd(k, group)
+        if rhs % g:
+            return []
+        red = group // g
+        t0 = (rhs // g) * pow(k // g, -1, red) % red if red > 1 else 0
+        return [self._exp[(t0 + j * red) * step] for j in range(g)]
+
     # -- F_q-coordinates -----------------------------------------------------
 
     def q_coords(self, v: int) -> Tuple[int, ...]:
@@ -490,44 +535,23 @@ class FieldTower:
     def from_q_coords(self, coords: Sequence[int]) -> int:
         """Inverse of q_coords: sum of coords[j] * x^j."""
         acc = 0
-        xj = 1
-        for c in coords:
+        for c, xj in zip(coords, self.power_basis):
             if c:
                 acc = self.add(acc, self.mul(c, xj))
-            xj = self.mul(xj, self.x_int)
         return acc
 
     def _qcoord_setup(self):
         if self._qcoord_cache is not None:
             return self._qcoord_cache
-        p, e, n, m = self.p, self.e, self.n, self.m
-        u = self.subfield_generator(1)
-        u_pows = [1]
-        for _ in range(e - 1):
-            u_pows.append(self.mul(u_pows[-1], u))
-        cols = []
-        xj = 1
-        for _ in range(n):
-            for a in range(e):
-                cols.append(self._digits(self.mul(u_pows[a], xj)))
-            xj = self.mul(xj, self.x_int)
-        # invert the m x m matrix whose columns are cols, over F_p
-        mat = [[cols[c][r] for c in range(m)] for r in range(m)]
-        aug = [row + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(mat)]
-        r = 0
-        for col in range(m):
-            piv = next((i for i in range(r, m) if aug[i][col] % p), None)
-            if piv is None:
-                raise RuntimeError("subfield basis matrix is singular")  # unreachable
-            aug[r], aug[piv] = aug[piv], aug[r]
-            inv = pow(aug[r][col], -1, p)
-            aug[r] = [(x * inv) % p for x in aug[r]]
-            for i in range(m):
-                if i != r and aug[i][col] % p:
-                    c = aug[i][col]
-                    aug[i] = [(x - c * y) % p for x, y in zip(aug[i], aug[r])]
-            r += 1
-        T = [row[m:] for row in aug]
+        m = self.m
+        u_pows = self.powers(self.subfield_generator(1), self.e)
+        cols = [self._digits(self.mul(ua, xj))
+                for xj in self.power_basis for ua in u_pows]
+        # invert the m x m matrix whose columns are cols: [M | I] -> [I | M^-1]
+        aug = [[cols[c][r] for c in range(m)] + [int(i == r) for i in range(m)]
+               for r in range(m)]
+        _, red = linalg.rref(self, aug)
+        T = [row[m:] for row in red]
         self._qcoord_cache = (T, u_pows)
         return self._qcoord_cache
 

@@ -95,10 +95,7 @@ class LinearizedPolynomial:
     def map_rank(self) -> int:
         """Rank over F_q of the induced linear map of F_{q^n}."""
         t = self.tower
-        xs = [1]
-        for _ in range(t.n - 1):
-            xs.append(t.mul(xs[-1], t.x_int))
-        rows = [t.q_coords(self.evaluate(xj)) for xj in xs]
+        rows = [t.q_coords(self.evaluate(xj)) for xj in t.power_basis]
         return linalg.rank(t, rows)
 
     def kernel_dim(self) -> int:
@@ -107,28 +104,11 @@ class LinearizedPolynomial:
     def kernel_elements(self) -> List[int]:
         """All packed roots of f (an F_q-subspace of F_{q^n})."""
         t = self.tower
-        xs = [1]
-        for _ in range(t.n - 1):
-            xs.append(t.mul(xs[-1], t.x_int))
         # columns indexed by basis x^j, rows by coordinates of the images
-        cols = [t.q_coords(self.evaluate(xj)) for xj in xs]
+        cols = [t.q_coords(self.evaluate(xj)) for xj in t.power_basis]
         rows = [[cols[j][i] for j in range(t.n)] for i in range(t.n)]
         basis = linalg.nullspace(t, rows, t.n)
-        f_q = t.subfield_elements(1)
-        roots = set()
-        def expand(idx, acc):
-            if idx == len(basis):
-                roots.add(acc)
-                return
-            for c in f_q:
-                part = acc
-                if c:
-                    vec = basis[idx]
-                    contrib = t.from_q_coords([t.mul(c, w) for w in vec])
-                    part = t.add(part, contrib)
-                expand(idx + 1, part)
-        expand(0, 0)
-        return sorted(roots)
+        return sorted(t.span([t.from_q_coords(vec) for vec in basis]))
 
     # -- structural operations ------------------------------------------------------
 

@@ -147,20 +147,15 @@ class Subspace:
         first = [t.q_coords(v[0]) for v in self.basis]
         columns = [[first[k][i] for k in range(self.m)] for i in range(t.n)]
         images = []
-        xj = 1
-        for _ in range(t.n):
+        for xj in t.power_basis:
             combo = linalg.solve(t, columns, list(t.q_coords(xj)))
             if combo is None:
                 return None  # unreachable once the weight test passed
             y = _sum_terms(t, (t.mul(c, v[1])
                                for c, v in zip(combo, self.basis)))
             images.append(y)
-            xj = t.mul(xj, t.x_int)
         # Moore system: sum_i a_i (x^j)^(q^i) = images[j]
-        xs = [1]
-        for _ in range(t.n - 1):
-            xs.append(t.mul(xs[-1], t.x_int))
-        moore = [[t.frobenius(x, i) for i in range(t.n)] for x in xs]
+        moore = [[t.frobenius(x, i) for i in range(t.n)] for x in t.power_basis]
         coeff = linalg.solve(t, moore, images)
         if coeff is None:
             return None
@@ -264,12 +259,7 @@ class LinearSet:
 def graph_subspace(f: LinearizedPolynomial) -> Subspace:
     """The n-dimensional subspace {(x, f(x)) : x in F_{q^n}} of F_{q^n}^2."""
     t = f.tower
-    vectors = []
-    xj = 1
-    for _ in range(t.n):
-        vectors.append((xj, f.evaluate(xj)))
-        xj = t.mul(xj, t.x_int)
-    U = Subspace(t, 2, vectors)
+    U = Subspace(t, 2, [(xj, f.evaluate(xj)) for xj in t.power_basis])
     object.__setattr__(U, "_graph_poly", f)
     return U
 
@@ -283,10 +273,8 @@ def weight(U: Subspace, point: Sequence) -> int:
     if not any(vec):
         raise ValueError("the zero vector is not a projective point")
     rows = [list(r) for r in U.flat_rows()]
-    xj = 1
-    for _ in range(t.n):
+    for xj in t.power_basis:
         rows.append(_flatten(t, tuple(t.mul(xj, c) for c in vec)))
-        xj = t.mul(xj, t.x_int)
     return t.n + U.m - linalg.rank(t, rows)
 
 
@@ -296,12 +284,10 @@ def _lambda_space(U: Subspace, point: Vector) -> List[int]:
     n, m = t.n, U.m
     colcount = n + m
     rows: List[List[int]] = [[0] * colcount for _ in range(U.r * n)]
-    xj = 1
-    for j in range(n):
+    for j, xj in enumerate(t.power_basis):
         col = _flatten(t, tuple(t.mul(xj, c) for c in point))
         for i in range(U.r * n):
             rows[i][j] = col[i]
-        xj = t.mul(xj, t.x_int)
     flat = U.flat_rows()
     for k in range(m):
         for i in range(U.r * n):
@@ -313,16 +299,6 @@ def _lambda_space(U: Subspace, point: Vector) -> List[int]:
         if lam:
             out.append(lam)
     return out
-
-
-def _span_elements(tower: FieldTower, basis: Sequence[int]) -> List[int]:
-    """All packed elements of the F_q-span, in base-q counter order."""
-    f_q = tower.subfield_elements(1)
-    vals = [0]
-    for b in basis:
-        scaled = [tower.mul(c, b) for c in f_q]
-        vals = [tower.add(v, s) for s in scaled for v in vals]
-    return vals
 
 
 def linear_set(U: Subspace) -> LinearSet:
@@ -412,13 +388,8 @@ def perp(U: Subspace) -> Subspace:
     n = t.n
     rows = []
     for (u1, u2) in U.basis:
-        row = []
-        xj = 1
-        cols2 = []
-        for _ in range(n):
-            row.append(t.neg(t.trace_to(t.mul(u2, xj), 1)))
-            cols2.append(t.trace_to(t.mul(u1, xj), 1))
-            xj = t.mul(xj, t.x_int)
+        row = [t.neg(t.trace_to(t.mul(u2, xj), 1)) for xj in t.power_basis]
+        cols2 = [t.trace_to(t.mul(u1, xj), 1) for xj in t.power_basis]
         rows.append(row + cols2)
     kernel = linalg.nullspace(t, rows, 2 * n)
     vectors = [_unflatten(t, vec, 2) for vec in kernel]
@@ -645,10 +616,7 @@ def decompose(U: Subspace, d: int, a) -> GeneralizedDecomposition:
                     "coefficients do not match the generalized construction")
     fprime = LinearizedPolynomial(t, fprime_coeffs)
     # U_d: kernel of x -> Tr_d(a x), carried through the graph
-    xs = [1]
-    for _ in range(n - 1):
-        xs.append(t.mul(xs[-1], t.x_int))
-    trace_rows = [t.q_coords(t.trace_to(t.mul(av, xj), d)) for xj in xs]
+    trace_rows = [t.q_coords(t.trace_to(t.mul(av, xj), d)) for xj in t.power_basis]
     cols = [[trace_rows[j][i] for j in range(n)] for i in range(n)]
     kernel = linalg.nullspace(t, cols, n)
     kd_vectors = []
@@ -662,15 +630,8 @@ def decompose(U: Subspace, d: int, a) -> GeneralizedDecomposition:
                if t.trace_to(t.mul(av, v), d) == 1), None)
     if xi is None:
         raise DecompositionFailedError("no element of trace 1 found")
-    eta = t.subfield_generator(d)
-    ys = [1]
-    for _ in range(d - 1):
-        ys.append(t.mul(ys[-1], eta))
-    xi_vectors = []
-    for y in ys:
-        xy = t.mul(xi, y)
-        xi_vectors.append((xy, f.evaluate(xy)))
-    u_xi = Subspace(t, 2, xi_vectors)
+    xys = [t.mul(xi, y) for y in t.powers(t.subfield_generator(d), d)]
+    u_xi = Subspace(t, 2, [(xy, f.evaluate(xy)) for xy in xys])
     if u_xi.m != d:
         raise DecompositionFailedError("U_xi has the wrong dimension")
     total = Subspace(t, 2, list(u_d.basis) + list(u_xi.basis))
@@ -717,18 +678,9 @@ def generalized_partner(U: Subspace, d: int, a, mode: str,
     else:
         raise BadModeError(f"unknown mode {mode!r}")
     f_at_xi = dec.fprime.evaluate(dec.xi)
-    eta = t.subfield_generator(d)
-    ys = [1]
-    for _ in range(d - 1):
-        ys.append(t.mul(ys[-1], eta))
-    w_vectors = []
-    for y in ys:
-        g_y = 0
-        for i, b in enumerate(inner):
-            if b:
-                g_y = t.add(g_y, t.mul(b, t.frobenius(y, i)))
-        w_vectors.append((t.mul(dec.xi, y),
-                          t.add(t.mul(f_at_xi, y), g_y)))
+    g = LinearizedPolynomial(t, inner)
+    w_vectors = [(t.mul(dec.xi, y), t.add(t.mul(f_at_xi, y), g.evaluate(y)))
+                 for y in t.powers(t.subfield_generator(d), d)]
     return Subspace(t, 2, list(dec.u_d.basis) + w_vectors)
 
 
@@ -742,18 +694,16 @@ def fqd_lines(U: Subspace, d: int) -> List[Tuple[Point, int]]:
     t = U.tower
     if d <= 1 or t.n % d != 0:
         raise NotADivisorError(f"need a divisor d > 1 of n = {t.n}; got {d}")
-    eta = t.subfield_generator(d)
-    etas = [1]
-    for _ in range(d - 1):
-        etas.append(t.mul(etas[-1], eta))
+    etas = t.powers(t.subfield_generator(d), d)
     out = []
     for p in linear_set(U).sorted_points():
         basis = _lambda_space(U, p)
         if len(basis) < d:
             continue
-        members = set(_span_elements(t, basis))
+        span = t.span(basis)
+        members = set(span)
         witness = None
-        for lam in _span_elements(t, basis):
+        for lam in span:
             if not lam:
                 continue
             if all(t.mul(lam, e) in members for e in etas):
@@ -903,10 +853,7 @@ def _search_fqd_subspace(U: Subspace, L: LinearSet, d: int,
     t = U.tower
     pts = L.sorted_points()
     target = set(pts)
-    eta = t.subfield_generator(d)
-    etas = [1]
-    for _ in range(d - 1):
-        etas.append(t.mul(etas[-1], eta))
+    etas = t.powers(t.subfield_generator(d), d)
     # two witness vectors on the same F_{q^d}-line span the same candidate,
     # so one scalar per coset of F_{q^d}^* is enough
     sub_units = [u for u in t.subfield_elements(d) if u]

@@ -11,7 +11,6 @@ from linsetlab import classify
 from linsetlab.classify import (
     PairVerdict,
     _detect_generalized,
-    _dlog_solve,
     _is_twist_canonical,
     _twist_canonical_form,
     _twist_tables,
@@ -57,19 +56,6 @@ def random_poly(t, rng):
 
 
 # -- helpers ---------------------------------------------------------------------
-
-
-def test_dlog_solve_matches_exhaustive_search():
-    for (p, e, n) in [(2, 1, 4), (3, 1, 2)]:
-        t = build_tower(p, e, n)
-        for k in (1, 2, 3, t.q ** 2 - 1, t.order - 1):
-            for value in range(t.order):
-                u = _dlog_solve(t, value, k)
-                brute = [x for x in range(1, t.order) if t.pow(x, k) == value]
-                if u is None:
-                    assert not brute
-                else:
-                    assert t.pow(u, k) == value
 
 
 def test_detect_generalized_round_trip():
@@ -476,11 +462,62 @@ def test_bucket_search_gcd_filter():
     assert 0 not in ids  # the zero map is filtered with the rest
 
 
-def test_bucket_search_workers_byte_identical():
+def test_bucket_search_workers_byte_identical(monkeypatch):
+    # small chunks, so that both phases have several and really use a pool
+    monkeypatch.setattr(classify, "SCAN_CHUNK", 64)
+    monkeypatch.setattr(classify, "CLASSIFY_CHUNK", 4)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
+    started = []
+
+    class RecordingPool(classify.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", RecordingPool)
     r1 = bucket_search(2, 1, 3, workers=1)
     r2 = bucket_search(2, 1, 3, workers=2)
+    assert started == [2, 2]
     assert json.dumps(r1.to_json(), sort_keys=True) == \
         json.dumps(r2.to_json(), sort_keys=True)
+
+
+def test_run_chunks_bounds_the_pool(monkeypatch):
+    started = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 3)
+    square = lambda x: x * x  # noqa: E731
+    for chunks, workers, pool in ((10, 500, [3]), (2, 500, [2]), (10, 2, [2]),
+                                  (1, 500, []), (10, 1, [])):
+        started.clear()
+        out = list(classify._run_chunks(square, list(range(chunks)), workers))
+        assert out == [k * k for k in range(chunks)]
+        assert started == pool
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: None)
+    started.clear()
+    assert list(classify._run_chunks(square, [1, 2, 3], 4)) == [1, 4, 9]
+    assert started == []
+    # one scan chunk and one classify chunk: no pool at all, same report
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 3)
+    started.clear()
+    rep = bucket_search(2, 1, 3, workers=500)
+    assert started == []
+    assert json.dumps(rep.to_json(), sort_keys=True) == \
+        json.dumps(bucket_search(2, 1, 3).to_json(), sort_keys=True)
 
 
 def test_bucket_search_budget_and_sample():

@@ -111,8 +111,18 @@ def test_field_info_budget_env(capsys, monkeypatch):
     ["search", "--workers", "-3"],
     ["verify", "--workers", "0"],
     ["search", "--sample", "-1"],
+    ["field-info", "--e", "0"],
+    ["field-info", "--n", "0"],
+    ["field-info", "--modulus", "1,1"],
+    ["field-info", "--modulus", "1,1,1,1"],
+    ["verify", "--n", "2"],
+    ["show", "--f", "@{tmp}/not_json.txt"],
+    ["show", "--f", "@{tmp}/no_coeffs.json"],
 ])
-def test_bad_workers_and_sample_are_one_line_errors(capsys, argv):
+def test_bad_workers_and_sample_are_one_line_errors(capsys, tmp_path, argv):
+    (tmp_path / "not_json.txt").write_text("x^q + 1\n", encoding="utf-8")
+    (tmp_path / "no_coeffs.json").write_text('{"coefs": []}', encoding="utf-8")
+    argv = [a.format(tmp=tmp_path) for a in argv]
     code, out, err = run(capsys, argv[:1] + ["--p", "2", "--e", "1", "--n", "3"]
                          + argv[1:])
     assert code == 1 and out == ""

@@ -328,6 +328,47 @@ def test_q_coords_of_power_basis():
         coords = t.q_coords(xj)
         assert coords == tuple(1 if i == j else 0 for i in range(t.n))
         xj = t.mul(xj, t.x_int)
+    for (p, e, n) in [(2, 1, 5), (2, 2, 3), (3, 2, 2)]:
+        t = gf.build_tower(p, e, n)
+        units = tuple(t.from_q_coords([int(i == j) for i in range(n)])
+                      for j in range(n))
+        assert t.power_basis == units
+
+
+def test_span_of_independent_basis_has_q_to_the_k_elements():
+    rng = random.Random(5)
+    for (p, e, n) in [(2, 1, 4), (3, 1, 3), (2, 2, 3)]:
+        t = gf.build_tower(p, e, n)
+        for k in range(n + 1):
+            basis = []
+            while len(basis) < k:
+                cand = rng.randrange(1, t.order)
+                if gf.is_independent(basis + [cand], t):
+                    basis.append(cand)
+            span = t.span(basis)
+            assert len(span) == len(set(span)) == t.q ** k
+            assert 0 in span and all(b in span for b in basis)
+
+
+def test_kth_roots_match_exhaustive_search():
+    for (p, e, n) in [(2, 1, 4), (3, 1, 2)]:
+        t = gf.build_tower(p, e, n)
+        for k in (1, 2, 3, t.q ** 2 - 1, t.order - 1):
+            for value in range(t.order):
+                roots = t.kth_roots(value, k)
+                brute = {x for x in range(1, t.order) if t.pow(x, k) == value}
+                assert len(roots) == len(set(roots)) and set(roots) == brute
+    # roots inside a proper subfield F_(q^d), as diag_similar asks for them
+    t = gf.build_tower(2, 1, 6)
+    for d in (2, 3):
+        units = [x for x in t.subfield_elements(d) if x]
+        for k in (1, 3, t.q ** (d - 1) - 1, t.q ** d - 1):
+            for value in range(t.order):
+                roots = t.kth_roots(value, k, d)
+                brute = {x for x in units if t.pow(x, k) == value}
+                assert len(roots) == len(set(roots)) and set(roots) == brute
+    with pytest.raises(NotADivisorError):
+        t.kth_roots(1, 1, 4)
 
 
 # ---------------------------------------------------------------------------
