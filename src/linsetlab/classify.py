@@ -531,35 +531,43 @@ def _twist_canonical_form(tower: FieldTower, coeffs: Sequence[int],
 # bucket search
 # ---------------------------------------------------------------------------
 
-def _decode_filtered(tower: FieldTower, pid: int, modulo_twist: bool,
-                     twist_data) -> Optional[List[int]]:
-    """Coefficients of a scan candidate, or None when filtered out."""
-    v = pid
+def _tail_filtered(tower: FieldTower, tail_id: int, modulo_twist: bool,
+                   twist_data) -> Optional[List[int]]:
+    """Coefficients 1..n-1 shared by every id pid with pid // order ==
+    tail_id, or None when the gcd filter or (with modulo_twist) the twist
+    filter drops them; neither filter reads coefficient 0."""
+    v = tail_id
     order = tower.order
-    coeffs = []
+    tail = []
     gcd_acc = tower.n
-    for i in range(tower.n):
+    for i in range(1, tower.n):
         v, c = divmod(v, order)
-        coeffs.append(c)
-        if c and i >= 1:
+        tail.append(c)
+        if c:
             gcd_acc = math.gcd(gcd_acc, i)
     if gcd_acc != 1:
         return None
-    if modulo_twist and not _is_twist_canonical(tower, coeffs, twist_data):
+    if modulo_twist and not _is_twist_canonical(tower, [0] + tail, twist_data):
         return None
-    return coeffs
+    return tail
 
 
 def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
-    """Exact fingerprint -> ascending ids of one chunk's kept candidates."""
+    """Exact fingerprint -> ascending ids of one chunk's kept candidates.
+    The filters run once per tail, since consecutive ids share it."""
     descriptor, lo, hi, ids, modulo_twist = args
     tower = build_tower(*descriptor)
     twist_data = _twist_tables(tower) if modulo_twist else None
+    order = tower.order
     groups: Dict[Tuple[int, ...], List[int]] = {}
+    tail_id, tail = None, None
     for pid in (ids if ids is not None else range(lo, hi)):
-        coeffs = _decode_filtered(tower, pid, modulo_twist, twist_data)
-        if coeffs is not None:
-            fp = DicksonMatrix(tower, coeffs).fingerprint()
+        tid, c0 = divmod(pid, order)
+        if tid != tail_id:
+            tail_id = tid
+            tail = _tail_filtered(tower, tid, modulo_twist, twist_data)
+        if tail is not None:
+            fp = DicksonMatrix(tower, [c0] + tail).fingerprint()
             groups.setdefault(fp, []).append(pid)
     return groups
 

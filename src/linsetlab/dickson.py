@@ -4,6 +4,9 @@ The Dickson matrix of f(x) = sum a_i x^(q^i) has (i,j)-entry a_{(j-i) mod s}
 raised to the q^i, where s is the matrix size.  Principal minors indexed by
 subsets of Z_s form the minor fingerprint; equality of fingerprints is the
 point-set equality criterion for graphs of linearized polynomials in rank 2.
+The entry rule A[i+1][j+1] = A[i][j]^q gives minor(I+1 mod s) = minor(I)^q,
+so one determinant per cyclic orbit of index sets yields the whole
+fingerprint.
 
 A matrix may have size s < n provided s | n and every coefficient lies in
 the intermediate field F_{q^s}; such smaller matrices drive the recursive
@@ -12,9 +15,8 @@ step of pair classification entirely inside the big field.
 
 from __future__ import annotations
 
-import json
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .errors import (
@@ -52,6 +54,32 @@ def _as_indices(size: int, index_set: Union[int, Iterable[int]]) -> Tuple[int, .
     if idx and not 0 <= idx[0] <= idx[-1] < size:
         raise ValueError(f"indices {idx} out of range for size {size}")
     return tuple(idx)
+
+
+_NECKLACES: Dict[int, tuple] = {}
+
+
+def _necklaces(size: int):
+    """Cyclic orbits of the non-empty subsets of Z_size, as pairs (indices
+    of the smallest mask, masks I, I+1, I+2, ... of the orbit)."""
+    cached = _NECKLACES.get(size)
+    if cached is not None:
+        return cached
+    full = (1 << size) - 1
+    seen = [False] * (1 << size)
+    orbits = []
+    for rep in range(1, 1 << size):
+        if seen[rep]:
+            continue
+        masks = []
+        mask = rep
+        while not seen[mask]:
+            seen[mask] = True
+            masks.append(mask)
+            mask = ((mask << 1) | (mask >> (size - 1))) & full
+        orbits.append((_as_indices(size, rep), tuple(masks)))
+    cached = _NECKLACES[size] = tuple(orbits)
+    return cached
 
 
 class DicksonMatrix:
@@ -123,19 +151,26 @@ class DicksonMatrix:
 
     def fingerprint(self, bound: int = FINGERPRINT_BOUND) -> Tuple[int, ...]:
         """All 2^s principal minors, indexed by subset bitmask ascending;
-        the empty-set entry is fixed to 1."""
+        the empty-set entry is fixed to 1.
+
+        Only the smallest mask of each cyclic orbit of index sets goes
+        through a determinant; the rest of the orbit follows from
+        minor(I+1 mod s) = minor(I)^q, which also holds for s < n because
+        every coefficient then satisfies a^(q^s) = a."""
         s = self.size
         if s > bound:
             raise TooLargeError(
                 f"fingerprint needs 2^{s} minors; raise the bound to allow")
         t = self.tower
         rows = self.rows()
-        det = linalg.det
+        det, frob = linalg.det, t.frobenius
         out = [1] * (1 << s)
-        for mask in range(1, 1 << s):
-            idx = [i for i in range(s) if mask >> i & 1]
-            sub = [[rows[i][j] for j in idx] for i in idx]
-            out[mask] = det(t, sub)
+        for idx, masks in _necklaces(s):
+            v = det(t, [[rows[i][j] for j in idx] for i in idx])
+            out[masks[0]] = v
+            for mask in masks[1:]:
+                v = frob(v, 1)
+                out[mask] = v
         return tuple(out)
 
     def fingerprint_bytes(self, bound: int = FINGERPRINT_BOUND) -> bytes:
@@ -301,8 +336,7 @@ class DicksonMatrix:
 def fingerprint_to_bytes(tower: FieldTower, fingerprint: Sequence[int]) -> bytes:
     """Canonical serialization: JSON array of coefficient-digit arrays in
     mask order, compact separators."""
-    payload = [list(tower.coeffs_of(v)) for v in fingerprint]
-    return json.dumps(payload, separators=(",", ":")).encode("ascii")
+    return b"[" + b",".join(map(tower.coeffs_json, fingerprint)) + b"]"
 
 
 def fingerprint_digest(tower: FieldTower, fingerprint: Sequence[int]) -> int:

@@ -202,6 +202,7 @@ class FieldTower:
         self._log: Optional[List[int]] = None
         self._frob_exp: Optional[List[int]] = None
         self._subfield_cache = {}
+        self._coeffs_json_cache = {}
         self._qcoord_cache = None
         # fast add/sub/neg dispatch
         if p == 2:
@@ -563,7 +564,10 @@ class FieldTower:
         return FieldElement(self, v)
 
     def from_coeffs(self, coeffs: Iterable[int]) -> "FieldElement":
-        digs = [int(c) % self.p for c in coeffs]
+        digs = [int(c) for c in coeffs]
+        if not all(0 <= d < self.p for d in digs):
+            raise BadParametersError(
+                f"coefficient digits {digs} must lie in [0, {self.p})")
         if len(digs) > self.m:
             raise ValueError(f"coefficient vector longer than e*n = {self.m}")
         digs += [0] * (self.m - len(digs))
@@ -596,6 +600,14 @@ class FieldTower:
 
     def coeffs_of(self, v: int) -> Tuple[int, ...]:
         return tuple(self._digits(v))
+
+    def coeffs_json(self, v: int) -> bytes:
+        """coeffs_of(v) as a compact JSON array in ASCII, cached per element."""
+        out = self._coeffs_json_cache.get(v)
+        if out is None:
+            out = ("[" + ",".join(map(str, self._digits(v))) + "]").encode("ascii")
+            self._coeffs_json_cache[v] = out
+        return out
 
     def descriptor(self) -> dict:
         return {"p": self.p, "e": self.e, "n": self.n, "modulus": list(self.modulus)}

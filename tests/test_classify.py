@@ -577,6 +577,49 @@ def test_bucket_keys_are_exact_fingerprints(p, modulo_twist):
     assert len(key_of) == rep.bucket_count
 
 
+@pytest.mark.parametrize("pen, kwargs", [
+    ((2, 1, 3), {}),
+    ((3, 1, 3), {"modulo_twist": True}),
+    ((2, 1, 6), {"budget": 1000, "sample": 300}),
+])
+def test_scan_fingerprints_exactly_the_ids_whose_tail_passes(monkeypatch, pen,
+                                                             kwargs):
+    # the scan filters once per tail (coefficients 1..n-1) but must still
+    # fingerprint every kept id once; the sample case changes tail inside
+    # a chunk at almost every id
+    t = build_tower(*pen)
+    scan_worker, fingerprint = classify._scan_worker, DicksonMatrix.fingerprint
+    visited, inside, calls = [], [False], [0]
+
+    def counting_fingerprint(self, *args):
+        calls[0] += inside[0]
+        return fingerprint(self, *args)
+
+    def tracked_scan(args):
+        _, lo, hi, ids, _ = args
+        visited.extend(ids if ids is not None else range(lo, hi))
+        inside[0] = True
+        try:
+            return scan_worker(args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(DicksonMatrix, "fingerprint", counting_fingerprint)
+    monkeypatch.setattr(classify, "_scan_worker", tracked_scan)
+    rep = bucket_search(*pen, **kwargs)
+    assert calls[0] == rep.scanned
+    assert len(visited) == rep.params["visited"]
+    tables = _twist_tables(t)
+
+    def passes(pid):
+        f = poly_from_id(t, pid)
+        return f.linearity_gcd() == 1 and (
+            not kwargs.get("modulo_twist")
+            or _is_twist_canonical(t, f.coeffs, tables))
+
+    assert rep.scanned == sum(map(passes, visited)) > 0
+
+
 def test_bucket_search_rejects_bad_workers_and_sample():
     for workers in (0, -3):
         with pytest.raises(BadParametersError):
@@ -638,7 +681,7 @@ def test_gcd_filtered_ids_never_share_a_club_fingerprint(p):
     club_fps, dropped_fps = set(), set()
     for pid in range(t.order ** 3):
         coeffs = coeffs_of_id(t, pid)
-        kept = classify._decode_filtered(t, pid, False, None) is not None
+        kept = classify._tail_filtered(t, pid // t.order, False, None) is not None
         if kept and not is_club_coeffs(t, coeffs):
             continue
         fp = DicksonMatrix(t, coeffs).fingerprint()

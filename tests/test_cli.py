@@ -118,10 +118,13 @@ def test_field_info_budget_env(capsys, monkeypatch):
     ["verify", "--n", "2"],
     ["show", "--f", "@{tmp}/not_json.txt"],
     ["show", "--f", "@{tmp}/no_coeffs.json"],
+    ["show", "--f", "@{tmp}/bad_digits.json"],
 ])
 def test_bad_workers_and_sample_are_one_line_errors(capsys, tmp_path, argv):
     (tmp_path / "not_json.txt").write_text("x^q + 1\n", encoding="utf-8")
     (tmp_path / "no_coeffs.json").write_text('{"coefs": []}', encoding="utf-8")
+    (tmp_path / "bad_digits.json").write_text('{"coeffs": [[5], [7, 3]]}',
+                                              encoding="utf-8")
     argv = [a.format(tmp=tmp_path) for a in argv]
     code, out, err = run(capsys, argv[:1] + ["--p", "2", "--e", "1", "--n", "3"]
                          + argv[1:])

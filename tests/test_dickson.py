@@ -5,10 +5,12 @@ Derived expectations are recomputed here by brute force (kernel counting,
 all-partitions search, full lambda scans) rather than trusted."""
 
 import itertools
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linsetlab import gf, linalg
 from linsetlab.dickson import (
@@ -107,6 +109,38 @@ def test_fingerprint_shape_and_edges():
         A.fingerprint(bound=2)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), pen=st.sampled_from(
+    [(2, 1, 4), (3, 1, 3), (5, 1, 3), (2, 1, 5), (2, 1, 6), (2, 2, 3)]))
+def test_fingerprint_equals_every_principal_minor(data, pen):
+    # the necklace rule minor(I+1) = minor(I)^q against one det per mask,
+    # on full-size matrices and on size-s matrices over F_(q^s), s | n
+    t = gf.build_tower(*pen)
+    s = data.draw(st.sampled_from([d for d in range(1, t.n + 1) if t.n % d == 0]))
+    nonzero = t.subfield_elements(s)[1:]
+    coeff = st.just(0) | st.sampled_from(nonzero)  # zeros often
+    A = DicksonMatrix(t, data.draw(st.lists(coeff, min_size=s, max_size=s)))
+    fp = A.fingerprint()
+    assert fp[0] == 1
+    assert list(fp[1:]) == [A.minor(mask) for mask in range(1, 1 << s)]
+
+
+@pytest.mark.parametrize("pen, dets", [((2, 1, 3), 3), ((2, 1, 4), 5),
+                                       ((3, 1, 5), 7), ((2, 1, 10), 107)])
+def test_fingerprint_takes_one_det_per_necklace(monkeypatch, pen, dets):
+    t = gf.build_tower(*pen)
+    A = DicksonMatrix.from_poly(random_poly(t, random.Random(4)))
+    det, calls = linalg.det, []
+
+    def counting_det(*args):
+        calls.append(args)
+        return det(*args)
+
+    monkeypatch.setattr(linalg, "det", counting_det)
+    A.fingerprint()
+    assert len(calls) == dets
+
+
 def test_fingerprint_invariances():
     rng = random.Random(8)
     t = gf.build_tower(2, 1, 4)
@@ -151,6 +185,15 @@ def test_fingerprint_digest_is_deterministic_fnv():
     assert A.digest() == A.digest()
     B = DicksonMatrix(t, [1, 2, 4])
     assert A.digest() != B.digest()
+    # the byte form is the compact JSON of the coefficient-digit arrays
+    rng = random.Random(6)
+    for pen in [(5, 1, 3), (2, 2, 3)]:
+        t = gf.build_tower(*pen)
+        for _ in range(20):
+            fp = DicksonMatrix.from_poly(random_poly(t, rng)).fingerprint()
+            want = json.dumps([list(t.coeffs_of(v)) for v in fp],
+                              separators=(",", ":"))
+            assert fingerprint_to_bytes(t, fp) == want.encode("ascii")
     # pinned reference so serialization stays stable across versions
     assert fnv1a64(b"") == 0xCBF29CE484222325
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C

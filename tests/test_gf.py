@@ -13,6 +13,7 @@ import pytest
 from linsetlab import gf, linalg
 from linsetlab.errors import (
     AmbientMismatchError,
+    BadParametersError,
     NonPrimeError,
     NotADivisorError,
     TooLargeError,
@@ -429,6 +430,10 @@ def test_from_coeffs_and_descriptor():
     assert t.from_coeffs([]).val == 0
     with pytest.raises(ValueError):
         t.from_coeffs([1] * 5)
+    # digits outside [0, p) are rejected, not reduced mod p
+    for digits in ([2], [1, -1], [0, 0, 0, 7]):
+        with pytest.raises(BadParametersError):
+            t.from_coeffs(digits)
     d = t.descriptor()
     assert d == {"p": 2, "e": 1, "n": 4, "modulus": list(t.modulus)}
     assert gf.build_tower(d["p"], d["e"], d["n"], d["modulus"]) is t
