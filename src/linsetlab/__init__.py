@@ -39,7 +39,6 @@ from .linset import (
     fqd_lines,
     generalized_partner,
     graph_subspace,
-    inner_coefficients,
     is_cone_r3,
     linear_set,
     multi_coeffs,
@@ -82,7 +81,6 @@ __all__ = [
     "fqd_lines",
     "generalized_partner",
     "graph_subspace",
-    "inner_coefficients",
     "is_club_coeffs",
     "is_cone_r3",
     "linear_set",

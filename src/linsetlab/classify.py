@@ -9,6 +9,7 @@ classifies every intra-bucket pair; reports are byte-identical for any
 worker count.
 """
 
+import bisect
 import math
 import os
 import random
@@ -26,13 +27,19 @@ from .errors import (
     NotEqualSetsError,
 )
 from .gf import FieldTower, build_tower, enumeration_budget
-from .linpoly import LinearizedPolynomial, poly_from_id
+from .linpoly import (
+    LinearizedPolynomial,
+    _adjoint_coeffs,
+    _twist_coeffs,
+    poly_from_id,
+)
 from .linset import (
     Subspace,
+    _divisors,
+    _trace_form_coeffs,
     _two_generator_witness,
     decompose,
     graph_subspace,
-    inner_coefficients,
     linear_set,
     perp,
     pseudoregulus_witness,
@@ -46,6 +53,8 @@ SCAN_CHUNK = 1 << 14
 CLASSIFY_CHUNK = 64
 PROGRESS_EVERY = 1 << 20
 MEMBER_DUMP_LIMIT = 4096
+# bucket_search runs set_linearity on every bucket at field orders up to this
+LINEARITY_CHECK_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -72,10 +81,6 @@ class PairVerdict:
 # small field helpers
 # ---------------------------------------------------------------------------
 
-def _proper_divisors(n: int) -> List[int]:
-    return [d for d in range(2, n) if n % d == 0]
-
-
 def _inner_point_tags(tower: FieldTower, coeffs: Sequence[int], d: int) -> frozenset:
     """Slopes of the inner graph over the nonzero subfield scalars."""
     g = LinearizedPolynomial(tower, coeffs)
@@ -93,43 +98,29 @@ def _detect_generalized(tower: FieldTower, coeffs: Sequence[int],
 
     Returns (a, lam, bs) with every b_i in F_(q^d) and bs[0] = 0, or None
     when no such reading exists.  The multiples-of-d positions are free
-    (they form the F_(q^d)-linear part); each other residue class must be
-    either all zero or proportional to the Frobenius orbit of a.
+    (they form the F_(q^d)-linear part); every other position must carry
+    the trace form, so each residue class is either all zero or
+    proportional to the Frobenius orbit of a.
     """
     n = tower.n
-    nd = n // d
-    classes = {}
-    for i in range(1, d):
-        cls = [coeffs[j * d + i] for j in range(nd)]
-        if any(cls):
-            if not all(cls):
-                return None
-            classes[i] = cls
-    if not classes:
+    i0 = next((i for i in range(1, d) if coeffs[i]), None)
+    if i0 is None:
         return None
-    i0 = min(classes)
-    cls0 = classes[i0]
     # the ratio of consecutive entries pins a up to F_(q^d) scalars
-    ratio = tower.div(cls0[1], cls0[0])
+    ratio = tower.div(coeffs[i0 + d], coeffs[i0])
     roots = tower.kth_roots(ratio, tower.q ** d - 1) if tower.has_tables else []
     if not roots:
         return None
     a = tower.frobenius(roots[0], n - i0)
-    ks = {}
-    for i, cls in classes.items():
-        k_i = tower.div(cls[0], tower.frobenius(a, i))
-        for j in range(1, nd):
-            if cls[j] != tower.mul(k_i, tower.frobenius(a, j * d + i)):
-                return None
-        ks[i] = k_i
+    ks = [0] + [tower.div(coeffs[i], tower.frobenius(a, i)) for i in range(1, d)]
+    trace = _trace_form_coeffs(tower, ks, a, d)
+    if any(coeffs[k] != trace[k] for k in range(n) if k % d):
+        return None
     lam = ks[i0]
-    bs = [0] * d
-    for i, k_i in ks.items():
-        b = tower.div(k_i, lam)
-        if not tower.in_subfield(b, d):
-            return None
-        bs[i] = b
-    return a, lam, tuple(bs)
+    bs = tuple(tower.div(k_i, lam) for k_i in ks)
+    if not all(tower.in_subfield(b, d) for b in bs):
+        return None
+    return a, lam, bs
 
 
 def _match_inner(tower: FieldTower, dec, g: LinearizedPolynomial, tau: int,
@@ -152,26 +143,22 @@ def _match_inner(tower: FieldTower, dec, g: LinearizedPolynomial, tau: int,
     cs = linalg.solve(tower, rows, rhs)
     if cs is None or any(not tower.in_subfield(c, d) for c in cs):
         return None
-    bs = list(inner_coefficients(dec))
+    bs = dec.bs
     if _inner_point_tags(tower, bs, d) != _inner_point_tags(tower, cs, d):
         return None
     # scalars on the subline come from its own field, so the inner multiple
     # and perp-multiple tests range over the nonzero subfield elements
     sub_units = [s for s in tower.subfield_elements(d) if s]
-    for mu in sub_units:
-        if all(cs[k] == tower.mul(bs[k], tower.pow(mu, tower.q ** k - 1))
-               for k in range(d)):
-            return "multiple", {"mu": mu}, tuple(cs)
-    for mu in sub_units:
-        if all(tower.frobenius(cs[(d - k) % d], k)
-               == tower.mul(bs[k], tower.pow(mu, tower.q ** k - 1))
-               for k in range(d)):
-            return "perp_multiple", {"mu": mu}, tuple(cs)
+    for target, case in ((list(cs), "multiple"),
+                         (_adjoint_coeffs(tower, cs), "perp_multiple")):
+        for mu in sub_units:
+            if _twist_coeffs(tower, bs, mu) == target:
+                return case, {"mu": mu}, tuple(cs)
     # the inner sets agree (point tags above), so a two-generator shape on
     # both sides settles the subline pair the same way the outer case does
     if d >= 5:
         bw = _two_generator_witness(tower, bs, d)
-        cw = _two_generator_witness(tower, list(cs), d) if bw is not None \
+        cw = _two_generator_witness(tower, cs, d) if bw is not None \
             else None
         if bw is not None and cw is not None:
             return ("pseudoregulus",
@@ -233,7 +220,7 @@ def _attempt_generalized(f: LinearizedPolynomial, g: LinearizedPolynomial,
                else "generalized_pseudoregulus")
         witness = {"d": d, "a": a1, "u_scale": u_scale,
                    "w_scale": t.inv(tau), "xi": dec.xi,
-                   "inner_b": list(inner_coefficients(dec)),
+                   "inner_b": list(dec.bs),
                    "inner_c": list(cs), "inner_case": inner_case,
                    "inner_witness": inner_witness}
         return tag, witness
@@ -287,7 +274,7 @@ def _classify_core(f: LinearizedPolynomial, g: LinearizedPolynomial,
         note("two-generator graphs: need n >= 5")
 
     if exhaustive or not matched:
-        for d in _proper_divisors(t.n):
+        for d in _divisors(t.n)[1:-1]:
             hit = _attempt_generalized(f, g, d, note)
             if hit is None:
                 swapped = _attempt_generalized(g, f, d, note)
@@ -398,7 +385,7 @@ def replay_verdict(f: LinearizedPolynomial, g: LinearizedPolynomial,
             return False
         if dec.xi != wit["xi"]:
             return False
-        bs = list(inner_coefficients(dec))
+        bs = list(dec.bs)
         cs = list(wit["inner_c"])
         if bs != list(wit["inner_b"]):
             return False
@@ -466,8 +453,8 @@ def _twist_tables(tower: FieldTower) -> tuple:
             lam = tower._exp[(onum // g0) * k]
             if lam == 1:
                 continue
-            stab.append([tower.pow(lam, tower.q ** j - 1)
-                         for j in range(tower.n)])
+            # the multipliers lam^(q^j - 1) twist the all-ones vector
+            stab.append(_twist_coeffs(tower, [1] * tower.n, lam))
         mins.append(by_residue)
         stabs.append(stab)
     data = (onum, mins, stabs)
@@ -483,7 +470,7 @@ def _is_twist_canonical(tower: FieldTower, coeffs: Sequence[int],
     can reach; ties over the residual stabilizer break by lexicographic
     comparison of the remaining coefficients.
     """
-    onum, mins, stabs = data
+    mins = data[1]
     i0 = next((i for i in range(1, tower.n) if coeffs[i]), None)
     if i0 is None:
         return True
@@ -491,16 +478,7 @@ def _is_twist_canonical(tower: FieldTower, coeffs: Sequence[int],
     la = tower._log[coeffs[i0]]
     if coeffs[i0] != by_residue[la % len(by_residue)]:
         return False
-    for mults in stabs[i0]:
-        for k in range(i0 + 1, tower.n):
-            if not coeffs[k]:
-                continue
-            cw = tower.mul(coeffs[k], mults[k])
-            if cw != coeffs[k]:
-                if cw < coeffs[k]:
-                    return False
-                break
-    return True
+    return _twist_canonical_form(tower, coeffs, data) == tuple(coeffs)
 
 
 def _twist_canonical_form(tower: FieldTower, coeffs: Sequence[int],
@@ -516,8 +494,7 @@ def _twist_canonical_form(tower: FieldTower, coeffs: Sequence[int],
     by_residue = mins[i0]
     target = by_residue[tower._log[coeffs[i0]] % len(by_residue)]
     lam = tower.kth_roots(tower.div(target, coeffs[i0]), tower.q ** i0 - 1)[0]
-    base = [tower.mul(c, tower.div(tower.frobenius(lam, j), lam)) if c else 0
-            for j, c in enumerate(coeffs)]
+    base = _twist_coeffs(tower, coeffs, lam)
     best = base
     tail = slice(i0 + 1, n)
     for mults in stabs[i0]:
@@ -554,26 +531,29 @@ def _tail_filtered(tower: FieldTower, tail_id: int, modulo_twist: bool,
 
 def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
     """Exact fingerprint -> ascending ids of one chunk's kept candidates.
-    The filters run once per tail, since consecutive ids share it."""
+    Ids are walked in runs that share a tail, so the filters run once per
+    tail and the ids of a dropped tail are skipped without a step each."""
     descriptor, lo, hi, ids, modulo_twist = args
     tower = build_tower(*descriptor)
     twist_data = _twist_tables(tower) if modulo_twist else None
     order = tower.order
     groups: Dict[Tuple[int, ...], List[int]] = {}
-    tail_id, tail = None, None
-    for pid in (ids if ids is not None else range(lo, hi)):
-        tid, c0 = divmod(pid, order)
-        if tid != tail_id:
-            tail_id = tid
-            tail = _tail_filtered(tower, tid, modulo_twist, twist_data)
+    pids = ids if ids is not None else range(lo, hi)
+    k = 0
+    while k < len(pids):
+        tid = pids[k] // order
+        end = bisect.bisect_left(pids, (tid + 1) * order, k)
+        tail = _tail_filtered(tower, tid, modulo_twist, twist_data)
         if tail is not None:
-            fp = DicksonMatrix(tower, [c0] + tail).fingerprint()
-            groups.setdefault(fp, []).append(pid)
+            for pid in pids[k:end]:
+                fp = DicksonMatrix(tower, [pid % order] + tail).fingerprint()
+                groups.setdefault(fp, []).append(pid)
+        k = end
     return groups
 
 
 def _classify_worker(args):
-    descriptor, items, paranoid, check_linearity = args
+    descriptor, items, paranoid = args
     tower = build_tower(*descriptor)
     twist_data = _twist_tables(tower)
     results = []
@@ -626,7 +606,7 @@ def _classify_worker(args):
                     anomalies.append((ids[0], ids[k],
                                       "point sets differ inside a bucket"))
         lin = None
-        if check_linearity:
+        if tower.order <= LINEARITY_CHECK_ORDER:
             lin = set_linearity(graph_subspace(polys[0]))
         results.append((key, cases, anomalies, lin))
     return results
@@ -743,7 +723,6 @@ def _scan_buckets(tower: FieldTower, budget: Optional[int],
 def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
                   workers: int = 1, modulo_twist: bool = False,
                   paranoid: bool = False,
-                  check_linearity: Optional[bool] = None,
                   sample: Optional[int] = None,
                   modulus: Optional[Sequence[int]] = None,
                   progress: Optional[Callable[[int, int], None]] = None
@@ -762,8 +741,6 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
     total = tower.order ** n
     if sample is not None and sample < 1:
         raise BadParametersError(f"sample must be at least 1, got {sample}")
-    if check_linearity is None:
-        check_linearity = tower.order <= 32
 
     id_list = None
     if sample is not None:
@@ -775,19 +752,18 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
     buckets: Dict[str, dict] = {key: {"size": len(ids), "cases": {}}
                                 for key, ids in bucket_members}
 
-    if check_linearity:
+    if tower.order <= LINEARITY_CHECK_ORDER:
         work_items = list(bucket_members)
     else:
         work_items = [(key, ids) for key, ids in bucket_members
                       if len(ids) > 1]
-    cls_args = [(descriptor, work_items[k:k + CLASSIFY_CHUNK], paranoid,
-                 check_linearity)
+    cls_args = [(descriptor, work_items[k:k + CLASSIFY_CHUNK], paranoid)
                 for k in range(0, len(work_items), CLASSIFY_CHUNK)]
     histogram: Dict[str, int] = {}
     anomalies: List[dict] = []
     linearity_flags: List[dict] = []
     alerts: List[str] = []
-    n_is_prime = n >= 2 and all(n % k for k in range(2, n))
+    n_is_prime = len(_divisors(n)) == 2
     member_map = dict(bucket_members)
     for res in _run_chunks(_classify_worker, cls_args, workers):
         for key, cases, bucket_anoms, lin in res:

@@ -261,13 +261,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    check = {"auto": None, "on": True, "off": False}[args.check_linearity]
     modulus = parse_int_list(args.modulus) if args.modulus else None
     report = bucket_search(args.p, args.e, args.n, budget=args.budget,
                            workers=args.workers,
                            modulo_twist=args.modulo_twist,
                            paranoid=args.paranoid,
-                           check_linearity=check,
                            sample=args.sample,
                            modulus=modulus,
                            progress=_progress)
@@ -364,9 +362,6 @@ def build_parser() -> _Parser:
                    help="scan one representative per twist orbit")
     p.add_argument("--paranoid", action="store_true",
                    help="re-verify buckets by point enumeration and replay")
-    p.add_argument("--check-linearity", choices=["auto", "on", "off"],
-                   default="auto",
-                   help="flag buckets whose set-level linearity may exceed F_q")
     p.add_argument("--csv", action="store_true",
                    help="print the verdict histogram as CSV")
     p.set_defaults(func=_cmd_search)

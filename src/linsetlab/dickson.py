@@ -27,7 +27,12 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .gf import FieldTower
-from .linpoly import LinearizedPolynomial, _unwrap
+from .linpoly import (
+    LinearizedPolynomial,
+    _adjoint_coeffs,
+    _twist_coeffs,
+    _unwrap,
+)
 
 FINGERPRINT_BOUND = 12
 
@@ -173,27 +178,21 @@ class DicksonMatrix:
                 out[mask] = v
         return tuple(out)
 
-    def fingerprint_bytes(self, bound: int = FINGERPRINT_BOUND) -> bytes:
-        return fingerprint_to_bytes(self.tower, self.fingerprint(bound))
-
     def digest(self, bound: int = FINGERPRINT_BOUND) -> int:
         """64-bit mixing digest of the serialized fingerprint (collisions
         must be resolved by comparing full fingerprints)."""
-        return fnv1a64(self.fingerprint_bytes(bound))
+        return fingerprint_digest(self.tower, self.fingerprint(bound))
 
     # -- characteristic function ---------------------------------------------------
 
-    def _shifted_rows(self, lam0: int) -> List[List[int]]:
+    def _shifted(self, a: int) -> "DicksonMatrix":
+        """The matrix of f - a*x, i.e. A - diag(a, a^q, ..., a^(q^(s-1)))."""
         t = self.tower
-        rows = [list(r) for r in self.rows()]
-        for i in range(self.size):
-            rows[i][i] = t.sub(rows[i][i], t.frobenius(lam0, i))
-        return rows
+        return DicksonMatrix(t, (t.sub(self.coeffs[0], a),) + self.coeffs[1:])
 
     def char_value(self, lam0) -> int:
         """det(A - diag(lam0, lam0^q, ..., lam0^(q^(s-1))))."""
-        lv = _unwrap(self.tower, lam0)
-        return linalg.det(self.tower, self._shifted_rows(lv))
+        return self._shifted(_unwrap(self.tower, lam0)).determinant()
 
     def rank_leading(self) -> int:
         """max k with det of the leading k x k principal submatrix nonzero
@@ -211,11 +210,7 @@ class DicksonMatrix:
     def root_multiplicity(self, a) -> int:
         """Multiplicity of a as a root of the characteristic function:
         1 + q + ... + q^(w-1) with w = s - rank_leading(A - diag(a, ...))."""
-        av = _unwrap(self.tower, a)
-        shifted = DicksonMatrix(
-            self.tower,
-            (self.tower.sub(self.coeffs[0], av),) + self.coeffs[1:])
-        w = self.size - shifted.rank_leading()
+        w = self.size - self._shifted(_unwrap(self.tower, a)).rank_leading()
         q = self.tower.q
         return (q ** w - 1) // (q - 1)
 
@@ -265,9 +260,7 @@ class DicksonMatrix:
 
     def transpose(self) -> "DicksonMatrix":
         """The transpose, which is again a Dickson matrix (of the adjoint)."""
-        t, s = self.tower, self.size
-        out = [t.frobenius(self.coeffs[(s - k) % s], k) for k in range(s)]
-        return DicksonMatrix(t, out)
+        return DicksonMatrix(self.tower, _adjoint_coeffs(self.tower, self.coeffs))
 
     # -- diagonal similarity -----------------------------------------------------------
 
@@ -298,12 +291,7 @@ class DicksonMatrix:
         return min(verified) if verified else None
 
     def _verify_lambda(self, other: "DicksonMatrix", lam: int) -> bool:
-        t = self.tower
-        for k, (ak, bk) in enumerate(zip(self.coeffs, other.coeffs)):
-            factor = t.div(t.frobenius(lam, k), lam)
-            if t.mul(ak, factor) != bk:
-                return False
-        return True
+        return _twist_coeffs(self.tower, self.coeffs, lam) == list(other.coeffs)
 
     def diag_similar_scan(self, other: "DicksonMatrix") -> Optional[int]:
         """Reference implementation: full ascending scan of F_(q^s)^*."""

@@ -9,7 +9,7 @@ as packed element integers of the ambient FieldTower.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from . import linalg
 from .errors import AmbientMismatchError, ZeroScalarError
@@ -22,6 +22,21 @@ def _unwrap(tower: FieldTower, c) -> int:
             raise AmbientMismatchError("coefficient from a different tower")
         return c.val
     return int(c)
+
+
+def _twist_coeffs(tower: FieldTower, coeffs: Sequence[int], lam: int) -> List[int]:
+    """b_i = a_i * lam^(q^i - 1): the twist of sum a_i x^(q^i) by lam, for
+    any length s | n with lam in F_(q^s)^*."""
+    mul, div, frob = tower.mul, tower.div, tower.frobenius
+    return [mul(a, div(frob(lam, i), lam)) if a else 0
+            for i, a in enumerate(coeffs)]
+
+
+def _adjoint_coeffs(tower: FieldTower, coeffs: Sequence[int]) -> List[int]:
+    """b_k = a_(-k mod s)^(q^k): the adjoint of sum a_i x^(q^i) over
+    F_(q^s), s = len(coeffs), which is also the Dickson transpose."""
+    s, frob = len(coeffs), tower.frobenius
+    return [frob(coeffs[-k % s], k) for k in range(s)]
 
 
 class LinearizedPolynomial:
@@ -114,10 +129,8 @@ class LinearizedPolynomial:
 
     def adjoint(self) -> "LinearizedPolynomial":
         """The trace-dual polynomial: Tr(y * f(x)) = Tr(adjoint(f)(y) * x)."""
-        t = self.tower
-        n = t.n
-        out = [t.frobenius(self.coeffs[(n - k) % n], k) for k in range(n)]
-        return LinearizedPolynomial(t, out)
+        return LinearizedPolynomial(
+            self.tower, _adjoint_coeffs(self.tower, self.coeffs))
 
     def compose(self, other: "LinearizedPolynomial") -> "LinearizedPolynomial":
         """self after other, reduced by x^(q^n) = x."""
@@ -142,14 +155,7 @@ class LinearizedPolynomial:
         lv = _unwrap(t, lam)
         if lv == 0:
             raise ZeroScalarError("twist scalar must be nonzero")
-        out = []
-        for i, a in enumerate(self.coeffs):
-            if a:
-                factor = t.div(t.frobenius(lv, i), lv)  # lam^(q^i - 1)
-                out.append(t.mul(a, factor))
-            else:
-                out.append(0)
-        return LinearizedPolynomial(t, out)
+        return LinearizedPolynomial(t, _twist_coeffs(t, self.coeffs, lv))
 
     def linearity_gcd(self) -> int:
         """Largest divisor d of n with f linear over F_{q^d}: the gcd of n

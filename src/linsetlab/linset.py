@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .dickson import DicksonMatrix
@@ -32,7 +32,7 @@ from .errors import (
     ZeroParameterError,
 )
 from .gf import FieldElement, FieldTower, enumeration_budget
-from .linpoly import LinearizedPolynomial, _unwrap
+from .linpoly import LinearizedPolynomial, _adjoint_coeffs, _unwrap
 
 Vector = Tuple[int, ...]
 Point = Tuple[int, ...]
@@ -272,10 +272,7 @@ def weight(U: Subspace, point: Sequence) -> int:
         raise AmbientMismatchError(f"point has {len(vec)} coordinates, r = {U.r}")
     if not any(vec):
         raise ValueError("the zero vector is not a projective point")
-    rows = [list(r) for r in U.flat_rows()]
-    for xj in t.power_basis:
-        rows.append(_flatten(t, tuple(t.mul(xj, c) for c in vec)))
-    return t.n + U.m - linalg.rank(t, rows)
+    return len(_lambda_space(U, vec))
 
 
 def _lambda_space(U: Subspace, point: Vector) -> List[int]:
@@ -312,14 +309,8 @@ def linear_set(U: Subspace) -> LinearSet:
         raise TooLargeError(
             f"enumerating q^m = {size} vectors exceeds the budget "
             f"{enumeration_budget()} (set LINSETLAB_BUDGET to raise)")
-    f_q = t.subfield_elements(1)
-    vecs: List[Vector] = [(0,) * U.r]
-    for bv in U.basis:
-        scaled = [tuple(t.mul(c, x) for x in bv) for c in f_q]
-        vecs = [tuple(t.add(a, b) for a, b in zip(v, s))
-                for s in scaled for v in vecs]
     counts: Dict[Point, int] = {}
-    for v in vecs:
+    for v in zip(*(t.span([bv[i] for bv in U.basis]) for i in range(U.r))):
         if not any(v):
             continue
         p = canonical_point(t, v)
@@ -528,6 +519,14 @@ def _common_tower(*vals) -> FieldTower:
     raise TypeError("pass at least one FieldElement so the tower is known")
 
 
+def _trace_form_coeffs(t: FieldTower, bs: Sequence[int], a: int,
+                       d: int) -> List[int]:
+    """Coefficients of sum_{0<i<d} b_i * Tr_{q^n|q^d}(a*x)^(q^i): b_i * a^(q^k)
+    at k = j*d + i, and 0 at the multiples of d (bs[0] is ignored)."""
+    mul, frob = t.mul, t.frobenius
+    return [mul(bs[k % d], frob(a, k)) if k % d else 0 for k in range(t.n)]
+
+
 def construct_generalized(fprime: LinearizedPolynomial, bs: Sequence,
                           a, d: int) -> Subspace:
     """Graph of f(x) = f'(x) + sum_{i=1}^{d-1} b_i * Tr_{q^n|q^d}(a*x)^(q^i).
@@ -552,18 +551,17 @@ def construct_generalized(fprime: LinearizedPolynomial, bs: Sequence,
             raise BadParametersError("inner coefficients must lie in F_(q^d)")
     if not any(bvals[1:]):
         raise BadParametersError("inner coefficients b_1..b_(d-1) cannot all vanish")
-    coeffs = list(fprime.coeffs)
-    for i in range(1, d):
-        if not bvals[i]:
-            continue
-        for j in range(n // d):
-            k = (j * d + i) % n
-            coeffs[k] = t.add(coeffs[k], t.mul(bvals[i], t.frobenius(av, j * d + i)))
-    return graph_subspace(LinearizedPolynomial(t, coeffs))
+    trace = LinearizedPolynomial(t, _trace_form_coeffs(t, bvals, av, d))
+    return graph_subspace(fprime + trace)
 
 
 class GeneralizedDecomposition:
-    """The pieces of U = U_d + U_xi for a generalized construction."""
+    """The pieces of U = U_d + U_xi for a generalized construction.
+
+    bs holds the coefficients of the inner polynomial
+    g_0(y) = sum b_i y^(q^i) that presents U_xi as {y*v0 + g_0(y)*v1} in
+    the frame v0 = (xi, f'(xi)), v1 = (0, 1).
+    """
 
     __slots__ = ("u_d", "xi", "u_xi", "fprime", "bs", "a", "d", "tower")
 
@@ -599,7 +597,6 @@ def decompose(U: Subspace, d: int, a) -> GeneralizedDecomposition:
         raise DecompositionFailedError("parameter a must be nonzero")
     # recover f' (support on multiples of d) and the inner coefficients
     coeffs = f.coeffs
-    fprime_coeffs = [coeffs[k] if k % d == 0 else 0 for k in range(n)]
     bs = [0] * d
     for i in range(1, d):
         bs[i] = t.div(coeffs[i], t.frobenius(av, i))
@@ -608,13 +605,11 @@ def decompose(U: Subspace, d: int, a) -> GeneralizedDecomposition:
                 "recovered inner coefficient leaves F_(q^d)")
     if not any(bs[1:]):
         raise DecompositionFailedError("inner coefficients all vanish")
-    for i in range(1, d):
-        for j in range(n // d):
-            k = (j * d + i) % n
-            if coeffs[k] != t.mul(bs[i], t.frobenius(av, j * d + i)):
-                raise DecompositionFailedError(
-                    "coefficients do not match the generalized construction")
-    fprime = LinearizedPolynomial(t, fprime_coeffs)
+    fprime = LinearizedPolynomial(
+        t, [c if k % d == 0 else 0 for k, c in enumerate(coeffs)])
+    if fprime + LinearizedPolynomial(t, _trace_form_coeffs(t, bs, av, d)) != f:
+        raise DecompositionFailedError(
+            "coefficients do not match the generalized construction")
     # U_d: kernel of x -> Tr_d(a x), carried through the graph
     trace_rows = [t.q_coords(t.trace_to(t.mul(av, xj), d)) for xj in t.power_basis]
     cols = [[trace_rows[j][i] for j in range(n)] for i in range(n)]
@@ -640,13 +635,6 @@ def decompose(U: Subspace, d: int, a) -> GeneralizedDecomposition:
     return GeneralizedDecomposition(u_d, xi, u_xi, fprime, tuple(bs), av, d, t)
 
 
-def inner_coefficients(dec: GeneralizedDecomposition) -> Tuple[int, ...]:
-    """Coefficients of the inner polynomial g_0(y) = sum b_i y^(q^i) that
-    presents U_xi as {y*v0 + g_0(y)*v1} in the frame v0 = (xi, f'(xi)),
-    v1 = (0, 1)."""
-    return tuple(dec.bs)
-
-
 def generalized_partner(U: Subspace, d: int, a, mode: str,
                         j: Optional[int] = None) -> Subspace:
     """Partner W = U_d (+) W_xi with the same linear set as U.
@@ -662,7 +650,7 @@ def generalized_partner(U: Subspace, d: int, a, mode: str,
     if mode == "trivial":
         inner = bs
     elif mode == "perp_d":
-        inner = [t.frobenius(bs[(d - k) % d], k) for k in range(d)]
+        inner = _adjoint_coeffs(t, bs)
     elif mode == "pseudoregulus":
         support = [i for i, b in enumerate(bs) if b]
         if len(support) != 1 or support[0] == 0:

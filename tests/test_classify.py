@@ -415,6 +415,23 @@ def test_twist_canonical_one_per_orbit():
         assert len(reps) == len(canonical)
 
 
+@pytest.mark.parametrize("pen,count", [((2, 1, 3), None), ((3, 1, 3), None),
+                                       ((2, 1, 4), None), ((5, 1, 3), 50000),
+                                       ((2, 2, 3), 50000)])
+def test_is_twist_canonical_is_the_fixed_points_of_the_form(pen, count):
+    """The residue shortcut of _is_twist_canonical never rejects an id
+    whose canonical form is itself."""
+    t = build_tower(*pen)
+    data = _twist_tables(t)
+    total = t.order ** t.n
+    ids = (range(total) if count is None
+           else random.Random(total).sample(range(total), count))
+    for pid in ids:
+        cs = coeffs_of_id(t, pid)
+        assert _is_twist_canonical(t, cs, data) == (
+            _twist_canonical_form(t, cs, data) == tuple(cs))
+
+
 def test_twist_canonical_form_is_orbit_invariant():
     for (p, e, n) in [(2, 1, 3), (3, 1, 2), (2, 1, 4)]:
         t = build_tower(p, e, n)
@@ -528,6 +545,16 @@ def test_bucket_search_budget_and_sample():
     assert json.dumps(r1.to_json()) == json.dumps(r2.to_json())
     assert r1.params["visited"] == 300
     assert r1.total_ids == 64 ** 6
+
+
+def test_set_linearity_runs_on_every_bucket_only_at_small_orders():
+    # order 8; one member per twist orbit leaves 56 singleton buckets
+    small = bucket_search(2, 1, 3, modulo_twist=True)
+    assert any(b["size"] == 1 for b in small.buckets.values())
+    assert all("set_linearity" in b for b in small.buckets.values())
+    large = bucket_search(2, 1, 6, budget=1000, sample=300)  # order 64
+    assert large.buckets
+    assert not any("set_linearity" in b for b in large.buckets.values())
 
 
 def test_bucket_search_modulo_twist_collapses_orbits():

@@ -10,6 +10,8 @@ from linsetlab import gf
 from linsetlab.errors import AmbientMismatchError, ZeroScalarError
 from linsetlab.linpoly import (
     LinearizedPolynomial,
+    _adjoint_coeffs,
+    _twist_coeffs,
     from_json,
     poly_from_id,
     poly_to_id,
@@ -138,6 +140,23 @@ def test_twist_scales_the_graph():
     assert f.twist(1) == f
     a, b = 3, 5
     assert f.twist(a).twist(b) == f.twist(t.mul(a, b))
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 6), (2, 2, 3)])
+def test_twist_and_adjoint_coeffs_on_every_length_dividing_n(pen):
+    t = gf.build_tower(*pen)
+    rng = random.Random(sum(pen))
+    for s in (d for d in range(1, t.n + 1) if t.n % d == 0):
+        sub = t.subfield_elements(s)
+        for _ in range(30):
+            cs = [rng.choice(sub) if rng.random() < 0.8 else 0 for _ in range(s)]
+            lam = rng.choice(sub[1:])
+            assert _twist_coeffs(t, cs, lam) == [
+                t.mul(a, t.pow(lam, t.q ** i - 1)) for i, a in enumerate(cs)]
+            adj = _adjoint_coeffs(t, cs)
+            assert adj == [t.pow(cs[(s - k) % s], t.q ** k) for k in range(s)]
+            assert all(t.in_subfield(b, s) for b in adj)
+            assert _adjoint_coeffs(t, adj) == cs
 
 
 def test_linearity_gcd_examples_and_meaning():
