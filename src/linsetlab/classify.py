@@ -532,7 +532,9 @@ def _tail_filtered(tower: FieldTower, tail_id: int, modulo_twist: bool,
 def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
     """Exact fingerprint -> ascending ids of one chunk's kept candidates.
     Ids are walked in runs that share a tail, so the filters run once per
-    tail and the ids of a dropped tail are skipped without a step each."""
+    tail and the ids of a dropped tail are skipped without a step each.
+    Each id's matrix is the shift of its tail's zero-diagonal matrix, so
+    its fingerprint expands from the minors the tail computes once."""
     descriptor, lo, hi, ids, modulo_twist = args
     tower = build_tower(*descriptor)
     twist_data = _twist_tables(tower) if modulo_twist else None
@@ -545,15 +547,49 @@ def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
         end = bisect.bisect_left(pids, (tid + 1) * order, k)
         tail = _tail_filtered(tower, tid, modulo_twist, twist_data)
         if tail is not None:
+            base = DicksonMatrix(tower, [0] + tail)
             for pid in pids[k:end]:
-                fp = DicksonMatrix(tower, [pid % order] + tail).fingerprint()
+                fp = base._shifted(tower.neg(pid % order)).fingerprint()
                 groups.setdefault(fp, []).append(pid)
         k = end
     return groups
 
 
+def _twist_classes(tower: FieldTower, polys, twist_data, canonical: bool):
+    """Settle the scalar and perp pairs of one bucket by twist class.
+
+    Members with one canonical form are twists of one another, so each
+    class gives C(c, 2) multiple pairs; the adjoint of a twist is a twist
+    of the adjoint, so one adjoint form per class finds the classes whose
+    c_A * c_B cross pairs are perp_multiple.  With canonical=True every
+    member is already twist-canonical and is its own form.  Returns
+    (case counts, pairs (x, y) left for the full classifier, x < y)."""
+    cls: List[int] = []
+    forms: Dict[Tuple[int, ...], int] = {}
+    for f in polys:
+        form = (tuple(f.coeffs) if canonical
+                else _twist_canonical_form(tower, f.coeffs, twist_data))
+        cls.append(forms.setdefault(form, len(forms)))
+    sizes = [0] * len(forms)
+    for k in cls:
+        sizes[k] += 1
+    adj = [forms.get(_twist_canonical_form(
+        tower, _adjoint_coeffs(tower, form), twist_data)) for form in forms]
+    # the adjoint map is an involution on the classes, so each related
+    # pair of classes is met once with a > k
+    related = [(k, a) for k, a in enumerate(adj) if a is not None and a > k]
+    cases = {"multiple": sum(c * (c - 1) // 2 for c in sizes),
+             "perp_multiple": sum(sizes[k] * sizes[a] for k, a in related)}
+    pending = []
+    if len(forms) * (len(forms) - 1) // 2 > len(related):
+        pending = [(x, y) for x in range(len(polys))
+                   for y in range(x + 1, len(polys))
+                   if cls[x] != cls[y] and adj[cls[x]] != cls[y]]
+    return {k: v for k, v in cases.items() if v}, pending
+
+
 def _classify_worker(args):
-    descriptor, items, paranoid = args
+    descriptor, items, paranoid, modulo_twist = args
     tower = build_tower(*descriptor)
     twist_data = _twist_tables(tower)
     results = []
@@ -561,28 +597,16 @@ def _classify_worker(args):
         polys = [poly_from_id(tower, pid) for pid in ids]
         cases: Dict[str, int] = {}
         anomalies: List[Tuple[int, int, str]] = []
+        pending: List[Tuple[int, int]] = []
         if paranoid:
             pending = [(x, y) for x in range(len(ids))
                        for y in range(x + 1, len(ids))]
-        else:
+        elif len(ids) > 1:
             # scalar and perp pairs are exactly the twist-orbit matches, so
-            # one canonical form per member settles them without the
-            # quadratic diagonal-similarity sweep
-            canon = [_twist_canonical_form(tower, fp.coeffs, twist_data)
-                     for fp in polys]
-            canon_adj = [_twist_canonical_form(tower, fp.adjoint().coeffs,
-                                               twist_data) for fp in polys]
-            pending = []
-            for x in range(len(ids)):
-                for y in range(x + 1, len(ids)):
-                    if canon[x] == canon[y]:
-                        case = "multiple"
-                    elif canon_adj[x] == canon[y]:
-                        case = "perp_multiple"
-                    else:
-                        pending.append((x, y))
-                        continue
-                    cases[case] = cases.get(case, 0) + 1
+            # the twist classes settle them without the quadratic
+            # diagonal-similarity sweep
+            cases, pending = _twist_classes(tower, polys, twist_data,
+                                            modulo_twist)
         if pending:
             mats = [DicksonMatrix.from_poly(fp) for fp in polys]
             for x, y in pending:
@@ -692,19 +716,21 @@ def _scan_buckets(tower: FieldTower, budget: Optional[int],
             f"{total} candidate polynomials exceed the budget {limit}")
     descriptor = (tower.p, tower.e, tower.n, tower.modulus)
     if id_list is None:
-        chunk_args = [(descriptor, lo, min(lo + SCAN_CHUNK, total), None,
-                       modulo_twist) for lo in range(0, total, SCAN_CHUNK)]
+        # whole tails per chunk, so no tail's minors are computed twice
+        step = max(SCAN_CHUNK // tower.order, 1) * tower.order
+        chunk_args = [(descriptor, lo, min(lo + step, total), None,
+                       modulo_twist) for lo in range(0, total, step)]
     else:
-        chunk_args = [(descriptor, 0, 0, id_list[k:k + SCAN_CHUNK],
-                       modulo_twist)
-                      for k in range(0, len(id_list), SCAN_CHUNK)]
+        step = SCAN_CHUNK
+        chunk_args = [(descriptor, 0, 0, id_list[k:k + step], modulo_twist)
+                      for k in range(0, len(id_list), step)]
     visited = total if id_list is None else len(id_list)
     groups: Dict[Tuple[int, ...], List[int]] = {}
     next_tick = PROGRESS_EVERY
     for k, res in enumerate(_run_chunks(_scan_worker, chunk_args, workers)):
         for fp, ids in res.items():
             groups.setdefault(fp, []).extend(ids)
-        done = min((k + 1) * SCAN_CHUNK, visited)
+        done = min((k + 1) * step, visited)
         if progress is not None and done >= next_tick:
             progress(done, visited)
             next_tick += PROGRESS_EVERY
@@ -757,7 +783,8 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
     else:
         work_items = [(key, ids) for key, ids in bucket_members
                       if len(ids) > 1]
-    cls_args = [(descriptor, work_items[k:k + CLASSIFY_CHUNK], paranoid)
+    cls_args = [(descriptor, work_items[k:k + CLASSIFY_CHUNK], paranoid,
+                 modulo_twist)
                 for k in range(0, len(work_items), CLASSIFY_CHUNK)]
     histogram: Dict[str, int] = {}
     anomalies: List[dict] = []

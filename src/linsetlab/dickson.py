@@ -8,6 +8,16 @@ The entry rule A[i+1][j+1] = A[i][j]^q gives minor(I+1 mod s) = minor(I)^q,
 so one determinant per cyclic orbit of index sets yields the whole
 fingerprint.
 
+Only the diagonal of A depends on the coefficient a_0.  For A = B - D with
+D = diag(a, a^q, ..., a^(q^(s-1))) and c = -a, the classical expansion
+
+    det(B_I - D_I) = sum over J in I of c^(e_J) * det B_(I-J),
+    e_J = sum over i in J of q^i,
+
+gives every principal minor of A from those of B (det B_{} = 1).  A matrix
+built by B._shifted(a) remembers B, and its fingerprint() takes B's minors
+once per B and then one lookup per nonzero term on towers with log tables.
+
 A matrix may have size s < n provided s | n and every coefficient lies in
 the intermediate field F_{q^s}; such smaller matrices drive the recursive
 step of pair classification entirely inside the big field.
@@ -90,7 +100,8 @@ def _necklaces(size: int):
 class DicksonMatrix:
     """Immutable s x s Dickson matrix over a FieldTower (s | n)."""
 
-    __slots__ = ("tower", "coeffs", "size", "_rows")
+    __slots__ = ("tower", "coeffs", "size", "_rows", "_source", "_minors",
+                 "_terms")
 
     def __init__(self, tower: FieldTower, coeffs: Iterable):
         vals = tuple(_unwrap(tower, c) for c in coeffs)
@@ -107,7 +118,8 @@ class DicksonMatrix:
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "coeffs", vals)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "_rows", None)
+        for slot in ("_rows", "_source", "_minors", "_terms"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, *a):
         raise AttributeError("DicksonMatrix is immutable")
@@ -158,25 +170,83 @@ class DicksonMatrix:
         """All 2^s principal minors, indexed by subset bitmask ascending;
         the empty-set entry is fixed to 1.
 
-        Only the smallest mask of each cyclic orbit of index sets goes
-        through a determinant; the rest of the orbit follows from
+        Only the smallest mask of each cyclic orbit of index sets is
+        computed directly; the rest of the orbit follows from
         minor(I+1 mod s) = minor(I)^q, which also holds for s < n because
-        every coefficient then satisfies a^(q^s) = a."""
+        every coefficient then satisfies a^(q^s) = a.  A matrix made by
+        B._shifted(a) on a tower with log tables expands each orbit's
+        minor from B's principal minors (see the module docstring); any
+        other matrix takes one determinant per orbit."""
         s = self.size
         if s > bound:
             raise TooLargeError(
                 f"fingerprint needs 2^{s} minors; raise the bound to allow")
-        t = self.tower
-        rows = self.rows()
-        det, frob = linalg.det, t.frobenius
-        out = [1] * (1 << s)
-        for idx, masks in _necklaces(s):
-            v = det(t, [[rows[i][j] for j in idx] for i in idx])
+        if self._source is not None and self.tower.has_tables:
+            return self._expanded_minors()
+        return self._principal_minors()
+
+    def _principal_minors(self) -> Tuple[int, ...]:
+        """The fingerprint by one determinant per necklace, cached."""
+        if self._minors is None:
+            t = self.tower
+            rows = self.rows()
+            det = linalg.det
+            reps = [det(t, [[rows[i][j] for j in idx] for i in idx])
+                    for idx, _ in _necklaces(self.size)]
+            object.__setattr__(self, "_minors", self._fill_orbits(reps))
+        return self._minors
+
+    def _fill_orbits(self, reps: Sequence[int]) -> Tuple[int, ...]:
+        """The 2^s minors from the minor of each necklace's smallest mask."""
+        frob = self.tower.frobenius
+        out = [1] * (1 << self.size)
+        for v, (_, masks) in zip(reps, _necklaces(self.size)):
             out[masks[0]] = v
             for mask in masks[1:]:
                 v = frob(v, 1)
                 out[mask] = v
         return tuple(out)
+
+    def _diagonal_terms(self) -> List[List[Tuple[int, int]]]:
+        """Per necklace with smallest mask I, the pairs (e_J, log det B_(I-J))
+        over the subsets J of I whose minor det B_(I-J) is nonzero; e_J is
+        sum_{i in J} q^i mod q^n - 1.  Cached, for matrices made by
+        _shifted from this one."""
+        if self._terms is None:
+            t, s = self.tower, self.size
+            minors, log, qpow = self._principal_minors(), t._log, t._frob_exp
+            exps = [sum(qpow[i] for i in range(s) if mask >> i & 1)
+                    for mask in range(1 << s)]
+            terms = []
+            for _, masks in _necklaces(s):
+                rep, row, sub = masks[0], [], masks[0]
+                while True:
+                    m = minors[rep & ~sub]
+                    if m:
+                        row.append((exps[sub], log[m]))
+                    if not sub:
+                        break
+                    sub = (sub - 1) & rep
+                terms.append(row)
+            object.__setattr__(self, "_terms", terms)
+        return self._terms
+
+    def _expanded_minors(self) -> Tuple[int, ...]:
+        """The fingerprint of source - diag(a, ...) from the source's
+        minors: sum_J c^(e_J) det B_(I-J) with c = -a, one exp-table
+        lookup per term."""
+        source, c = self._source
+        if not c:
+            return source._principal_minors()
+        t = self.tower
+        exp, onum, lc, add = t._exp, t._onum, t._log[c], t.add
+        reps = []
+        for row in source._diagonal_terms():
+            v = 0
+            for e, lm in row:
+                v = add(v, exp[(lc * e + lm) % onum])
+            reps.append(v)
+        return self._fill_orbits(reps)
 
     def digest(self, bound: int = FINGERPRINT_BOUND) -> int:
         """64-bit mixing digest of the serialized fingerprint (collisions
@@ -186,9 +256,13 @@ class DicksonMatrix:
     # -- characteristic function ---------------------------------------------------
 
     def _shifted(self, a: int) -> "DicksonMatrix":
-        """The matrix of f - a*x, i.e. A - diag(a, a^q, ..., a^(q^(s-1)))."""
+        """The matrix of f - a*x, i.e. A - diag(a, a^q, ..., a^(q^(s-1))).
+        It remembers A as its source, so its fingerprint() expands from
+        A's principal minors, which A computes once and keeps."""
         t = self.tower
-        return DicksonMatrix(t, (t.sub(self.coeffs[0], a),) + self.coeffs[1:])
+        out = DicksonMatrix(t, (t.sub(self.coeffs[0], a),) + self.coeffs[1:])
+        object.__setattr__(out, "_source", (self, t.neg(a)))
+        return out
 
     def char_value(self, lam0) -> int:
         """det(A - diag(lam0, lam0^q, ..., lam0^(q^(s-1))))."""

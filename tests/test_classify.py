@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linsetlab import classify
+from linsetlab import classify, linalg
 from linsetlab.classify import (
     PairVerdict,
     _detect_generalized,
@@ -451,6 +451,40 @@ def test_twist_canonical_form_is_orbit_invariant():
                 assert _twist_canonical_form(t, g, data) == form
 
 
+def test_twist_classes_settle_the_pairs_of_the_per_pair_forms():
+    # one form and one adjoint form per class against one of each per
+    # member: canon[x] == canon[y] is multiple, canon_adj[x] == canon[y]
+    # is perp_multiple, and every other pair is left over in (x, y) order
+    t = build_tower(2, 1, 5)
+    data = _twist_tables(t)
+    rng = random.Random(23)
+    units = range(1, t.order)
+    for _ in range(25):
+        polys = []
+        for f in (random_poly(t, rng) for _ in range(3)):
+            polys += [f, f.twist(rng.choice(units)),
+                      f.adjoint().twist(rng.choice(units))]
+        polys = rng.sample(polys, rng.randrange(2, len(polys) + 1))
+        canon = [_twist_canonical_form(t, f.coeffs, data) for f in polys]
+        canon_adj = [_twist_canonical_form(t, f.adjoint().coeffs, data)
+                     for f in polys]
+        cases, pending = {}, []
+        for x in range(len(polys)):
+            for y in range(x + 1, len(polys)):
+                if canon[x] == canon[y]:
+                    cases["multiple"] = cases.get("multiple", 0) + 1
+                elif canon_adj[x] == canon[y]:
+                    cases["perp_multiple"] = cases.get("perp_multiple", 0) + 1
+                else:
+                    pending.append((x, y))
+        assert classify._twist_classes(t, polys, data, False) == \
+            (cases, pending)
+        # members that are already canonical are their own forms
+        reps = [LinearizedPolynomial(t, c) for c in dict.fromkeys(canon)]
+        assert classify._twist_classes(t, reps, data, True) == \
+            classify._twist_classes(t, reps, data, False)
+
+
 # -- bucket search ---------------------------------------------------------------
 
 
@@ -602,6 +636,57 @@ def test_bucket_keys_are_exact_fingerprints(p, modulo_twist):
     # one key per fingerprint and one fingerprint per key
     assert all(len(keys) == 1 for keys in key_of.values())
     assert len(key_of) == rep.bucket_count
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 3), (3, 1, 3), (2, 1, 4)])
+def test_buckets_are_the_slope_set_classes(pen):
+    # two scanned graphs share a bucket exactly when their linear sets
+    # coincide; a graph's set is read off its slopes f(x)/x, x != 0, with
+    # no fingerprint on this side.  f(x)/x = c0 + g(x)/x for the tail g,
+    # so each tail's slopes are computed once and translated per c0
+    t = build_tower(*pen)
+    _, members, _ = classify._scan_buckets(t, None, None, False, 1, None)
+    tail_slopes = {}
+    by_slopes = {}
+    for _, ids in members:
+        for pid in ids:
+            tid, c0 = divmod(pid, t.order)
+            if tid not in tail_slopes:
+                g = poly_from_id(t, tid * t.order)
+                tail_slopes[tid] = [t.div(g.evaluate(x), x)
+                                    for x in range(1, t.order)]
+            slopes = frozenset(t.add(c0, v) for v in tail_slopes[tid])
+            by_slopes.setdefault(slopes, []).append(pid)
+    assert len(members) > 1
+    assert sorted(ids for _, ids in members) == sorted(by_slopes.values())
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 3), (3, 1, 3)])
+def test_scan_takes_one_det_per_necklace_per_kept_tail(monkeypatch, pen):
+    # every id of a tail is a diagonal shift of the tail's own matrix, so
+    # the scan's determinants are the tail fingerprints' alone: 3 necklaces
+    # at n = 3 for each tail that passes the gcd filter
+    t = build_tower(*pen)
+    scan_worker, det = classify._scan_worker, linalg.det
+    inside, calls = [False], [0]
+
+    def counting_det(*args):
+        calls[0] += inside[0]
+        return det(*args)
+
+    def tracked_scan(args):
+        inside[0] = True
+        try:
+            return scan_worker(args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(linalg, "det", counting_det)
+    monkeypatch.setattr(classify, "_scan_worker", tracked_scan)
+    bucket_search(*pen)
+    kept = sum(poly_from_id(t, tid * t.order).linearity_gcd() == 1
+               for tid in range(t.order ** (t.n - 1)))
+    assert kept > 0 and calls[0] == 3 * kept
 
 
 @pytest.mark.parametrize("pen, kwargs", [

@@ -114,15 +114,39 @@ def test_fingerprint_shape_and_edges():
     [(2, 1, 4), (3, 1, 3), (5, 1, 3), (2, 1, 5), (2, 1, 6), (2, 2, 3)]))
 def test_fingerprint_equals_every_principal_minor(data, pen):
     # the necklace rule minor(I+1) = minor(I)^q against one det per mask,
-    # on full-size matrices and on size-s matrices over F_(q^s), s | n
+    # on full-size matrices and on size-s matrices over F_(q^s), s | n;
+    # the same matrix reached as a shift of a zero-diagonal source and of
+    # a nonzero-diagonal source takes the diagonal expansion instead
     t = gf.build_tower(*pen)
     s = data.draw(st.sampled_from([d for d in range(1, t.n + 1) if t.n % d == 0]))
     nonzero = t.subfield_elements(s)[1:]
     coeff = st.just(0) | st.sampled_from(nonzero)  # zeros often
     A = DicksonMatrix(t, data.draw(st.lists(coeff, min_size=s, max_size=s)))
-    fp = A.fingerprint()
-    assert fp[0] == 1
-    assert list(fp[1:]) == [A.minor(mask) for mask in range(1, 1 << s)]
+    minors = [A.minor(mask) for mask in range(1, 1 << s)]
+    shifts = []
+    for b0 in (0, data.draw(st.sampled_from(nonzero))):
+        B = DicksonMatrix(t, (b0,) + A.coeffs[1:])
+        shifts.append(B._shifted(t.sub(b0, A.coeffs[0])))
+        assert shifts[-1] == A
+    for M in [A] + shifts:
+        fp = M.fingerprint()
+        assert fp[0] == 1
+        assert list(fp[1:]) == minors
+
+
+def test_shift_without_log_tables_takes_one_det_per_necklace(monkeypatch):
+    t = gf.build_tower(2, 11, 2)  # order 2^22, above the log-table cap
+    assert not t.has_tables
+    A = DicksonMatrix(t, [0, 12345])._shifted(777)
+    det, calls = linalg.det, []
+
+    def counting_det(*args):
+        calls.append(args)
+        return det(*args)
+
+    monkeypatch.setattr(linalg, "det", counting_det)
+    assert A.fingerprint() == (1, A.minor(1), A.minor(2), A.minor(3))
+    assert len(calls) == 2 + 3  # two necklaces, then the three minor() calls
 
 
 @pytest.mark.parametrize("pen, dets", [((2, 1, 3), 3), ((2, 1, 4), 5),
