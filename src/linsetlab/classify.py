@@ -533,8 +533,10 @@ def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
     """Exact fingerprint -> ascending ids of one chunk's kept candidates.
     Ids are walked in runs that share a tail, so the filters run once per
     tail and the ids of a dropped tail are skipped without a step each.
-    Each id's matrix is the shift of its tail's zero-diagonal matrix, so
-    its fingerprint expands from the minors the tail computes once."""
+    When a run holds more than one id, each id's matrix is the shift of
+    its tail's zero-diagonal matrix, so its fingerprint expands from the
+    minors the tail computes once; a lone id (as in most sampled scans)
+    takes the determinant route, which costs it less."""
     descriptor, lo, hi, ids, modulo_twist = args
     tower = build_tower(*descriptor)
     twist_data = _twist_tables(tower) if modulo_twist else None
@@ -547,10 +549,12 @@ def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
         end = bisect.bisect_left(pids, (tid + 1) * order, k)
         tail = _tail_filtered(tower, tid, modulo_twist, twist_data)
         if tail is not None:
-            base = DicksonMatrix(tower, [0] + tail)
+            base = DicksonMatrix(tower, [0] + tail) if end - k > 1 else None
             for pid in pids[k:end]:
-                fp = base._shifted(tower.neg(pid % order)).fingerprint()
-                groups.setdefault(fp, []).append(pid)
+                c0 = pid % order
+                mat = (base._shifted(tower.neg(c0)) if base
+                       else DicksonMatrix(tower, [c0] + tail))
+                groups.setdefault(mat.fingerprint(), []).append(pid)
         k = end
     return groups
 
@@ -580,11 +584,9 @@ def _twist_classes(tower: FieldTower, polys, twist_data, canonical: bool):
     related = [(k, a) for k, a in enumerate(adj) if a is not None and a > k]
     cases = {"multiple": sum(c * (c - 1) // 2 for c in sizes),
              "perp_multiple": sum(sizes[k] * sizes[a] for k, a in related)}
-    pending = []
-    if len(forms) * (len(forms) - 1) // 2 > len(related):
-        pending = [(x, y) for x in range(len(polys))
-                   for y in range(x + 1, len(polys))
-                   if cls[x] != cls[y] and adj[cls[x]] != cls[y]]
+    pending = [(x, y) for x in range(len(polys))
+               for y in range(x + 1, len(polys))
+               if cls[x] != cls[y] and adj[cls[x]] != cls[y]]
     return {k: v for k, v in cases.items() if v}, pending
 
 

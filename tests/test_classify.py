@@ -689,6 +689,41 @@ def test_scan_takes_one_det_per_necklace_per_kept_tail(monkeypatch, pen):
     assert kept > 0 and calls[0] == 3 * kept
 
 
+def test_sampled_scan_expands_only_tails_shared_by_several_ids(monkeypatch):
+    # a lone id of a sampled scan takes the determinant route; only a tail
+    # that several ids share builds the expansion terms, once.  Either way
+    # each kept tail costs 5 determinants (the necklaces at n = 4), and the
+    # keys are the ids' own fingerprints
+    t = build_tower(2, 1, 4)
+    ids = sorted(random.Random(3).sample(range(t.order ** t.n), 600))
+    runs = {}
+    for pid in ids:
+        runs.setdefault(pid // t.order, []).append(pid)
+    kept = {tid: r for tid, r in runs.items()
+            if classify._tail_filtered(t, tid, False, None) is not None}
+    shared = sum(len(r) > 1 for r in kept.values())
+    assert 0 < shared < len(kept)
+    det, terms = linalg.det, DicksonMatrix._diagonal_terms
+    dets, expanded = [0], [0]
+
+    def counting_det(*args):
+        dets[0] += 1
+        return det(*args)
+
+    def counting_terms(self):
+        expanded[0] += self._terms is None
+        return terms(self)
+
+    monkeypatch.setattr(linalg, "det", counting_det)
+    monkeypatch.setattr(DicksonMatrix, "_diagonal_terms", counting_terms)
+    groups = classify._scan_worker(((2, 1, 4), 0, 0, ids, False))
+    monkeypatch.undo()
+    assert expanded[0] == shared and dets[0] == 5 * len(kept)
+    assert {pid: fp for fp, members in groups.items() for pid in members} == {
+        pid: DicksonMatrix.from_poly(poly_from_id(t, pid)).fingerprint()
+        for r in kept.values() for pid in r}
+
+
 @pytest.mark.parametrize("pen, kwargs", [
     ((2, 1, 3), {}),
     ((3, 1, 3), {"modulo_twist": True}),
