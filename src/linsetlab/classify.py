@@ -30,8 +30,8 @@ from .gf import FieldTower, build_tower, enumeration_budget
 from .linpoly import (
     LinearizedPolynomial,
     _adjoint_coeffs,
+    _id_coeffs,
     _twist_coeffs,
-    poly_from_id,
 )
 from .linset import (
     Subspace,
@@ -559,20 +559,20 @@ def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
     return groups
 
 
-def _twist_classes(tower: FieldTower, polys, twist_data, canonical: bool):
+def _twist_classes(tower: FieldTower, members, twist_data, canonical: bool):
     """Settle the scalar and perp pairs of one bucket by twist class.
 
-    Members with one canonical form are twists of one another, so each
-    class gives C(c, 2) multiple pairs; the adjoint of a twist is a twist
-    of the adjoint, so one adjoint form per class finds the classes whose
-    c_A * c_B cross pairs are perp_multiple.  With canonical=True every
-    member is already twist-canonical and is its own form.  Returns
-    (case counts, pairs (x, y) left for the full classifier, x < y)."""
+    Members (coefficient lists) with one canonical form are twists of one
+    another, so each class gives C(c, 2) multiple pairs; the adjoint of a
+    twist is a twist of the adjoint, so one adjoint form per class finds the
+    classes whose c_A * c_B cross pairs are perp_multiple.  With canonical
+    every member is twist-canonical and is its own form.  Returns (case
+    counts, pairs (x, y) left for the full classifier, x < y)."""
     cls: List[int] = []
     forms: Dict[Tuple[int, ...], int] = {}
-    for f in polys:
-        form = (tuple(f.coeffs) if canonical
-                else _twist_canonical_form(tower, f.coeffs, twist_data))
+    for coeffs in members:
+        form = (tuple(coeffs) if canonical
+                else _twist_canonical_form(tower, coeffs, twist_data))
         cls.append(forms.setdefault(form, len(forms)))
     sizes = [0] * len(forms)
     for k in cls:
@@ -584,8 +584,8 @@ def _twist_classes(tower: FieldTower, polys, twist_data, canonical: bool):
     related = [(k, a) for k, a in enumerate(adj) if a is not None and a > k]
     cases = {"multiple": sum(c * (c - 1) // 2 for c in sizes),
              "perp_multiple": sum(sizes[k] * sizes[a] for k, a in related)}
-    pending = [(x, y) for x in range(len(polys))
-               for y in range(x + 1, len(polys))
+    pending = [(x, y) for x in range(len(members))
+               for y in range(x + 1, len(members))
                if cls[x] != cls[y] and adj[cls[x]] != cls[y]]
     return {k: v for k, v in cases.items() if v}, pending
 
@@ -596,7 +596,7 @@ def _classify_worker(args):
     twist_data = _twist_tables(tower)
     results = []
     for key, ids in items:
-        polys = [poly_from_id(tower, pid) for pid in ids]
+        members = [_id_coeffs(tower, pid) for pid in ids]
         cases: Dict[str, int] = {}
         anomalies: List[Tuple[int, int, str]] = []
         pending: List[Tuple[int, int]] = []
@@ -607,10 +607,12 @@ def _classify_worker(args):
             # scalar and perp pairs are exactly the twist-orbit matches, so
             # the twist classes settle them without the quadratic
             # diagonal-similarity sweep
-            cases, pending = _twist_classes(tower, polys, twist_data,
+            cases, pending = _twist_classes(tower, members, twist_data,
                                             modulo_twist)
+        need = range(len(ids)) if paranoid else {k for xy in pending for k in xy}
+        polys = {x: LinearizedPolynomial(tower, members[x]) for x in need}
         if pending:
-            mats = [DicksonMatrix.from_poly(fp) for fp in polys]
+            mats = {x: DicksonMatrix.from_poly(f) for x, f in polys.items()}
             for x, y in pending:
                 matched, wits = _classify_core(polys[x], polys[y],
                                                mats[x], mats[y], False, None)
@@ -633,7 +635,8 @@ def _classify_worker(args):
                                       "point sets differ inside a bucket"))
         lin = None
         if tower.order <= LINEARITY_CHECK_ORDER:
-            lin = set_linearity(graph_subspace(polys[0]))
+            lin = set_linearity(graph_subspace(
+                LinearizedPolynomial(tower, members[0])))
         results.append((key, cases, anomalies, lin))
     return results
 
@@ -867,7 +870,7 @@ def verify_club_uniqueness(p: int, e: int, n: int,
     for _, ids in bucket_members:
         if len(ids) < 2:
             continue
-        members = [poly_from_id(tower, pid).coeffs for pid in ids]
+        members = [_id_coeffs(tower, pid) for pid in ids]
         if not any(is_club_coeffs(tower, c) for c in members):
             continue
         # one twist-canonical form per bucket: b_i = a_i * lambda^(q^i - 1),

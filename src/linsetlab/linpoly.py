@@ -220,18 +220,20 @@ def from_json(tower: FieldTower, obj: dict) -> LinearizedPolynomial:
         tower, [tower.from_coeffs(c).val for c in obj["coeffs"]])
 
 
-def poly_from_id(tower: FieldTower, poly_id: int) -> LinearizedPolynomial:
-    """Decode the enumeration id sum(packed(a_i) * order^i) of a coefficient
-    vector; ids run over [0, order^n)."""
-    o = tower.order
+def _id_coeffs(tower: FieldTower, poly_id: int) -> List[int]:
+    """The packed coefficients of the enumeration id sum(packed(a_i) *
+    order^i); ids run over [0, order^n)."""
     coeffs = []
-    v = poly_id
     for _ in range(tower.n):
-        v, r = divmod(v, o)
-        coeffs.append(r)
-    if v:
+        poly_id, c = divmod(poly_id, tower.order)
+        coeffs.append(c)
+    if poly_id:
         raise ValueError("polynomial id out of range")
-    return LinearizedPolynomial(tower, coeffs)
+    return coeffs
+
+
+def poly_from_id(tower: FieldTower, poly_id: int) -> LinearizedPolynomial:
+    return LinearizedPolynomial(tower, _id_coeffs(tower, poly_id))
 
 
 def poly_to_id(f: LinearizedPolynomial) -> int:

@@ -773,9 +773,12 @@ def set_linearity(U: Subspace) -> Tuple[int, bool]:
 
     A scalar multiple lambda*U is closed under F_{q^d}-scaling exactly when
     U is, so the lambda-sweep collapses to a single closure test.  The flag
-    is True when d = n, or when a budgeted exhaustive search (run only for
-    q^n <= 2^10) refutes every larger divisor; otherwise the value is only
-    a verified lower bound.
+    is True when d = n, or when (only for q^n <= 2^10) counting or a
+    budgeted exhaustive search refutes every larger divisor; otherwise the
+    value is only a verified lower bound.  Counting: no candidate rank
+    exceeds (r-1)n (_rank_feasible); and an F_{q^n}-subspace spans 0, 1,
+    q^n + 1, ... points, while a U of rank m <= n whose basis meets two
+    points spans 2 to (q^m - 1)/(q - 1) < q^n + 1 of them.
     """
     t = U.tower
     n = t.n
@@ -792,11 +795,13 @@ def set_linearity(U: Subspace) -> Tuple[int, bool]:
         return lower, True
     if t.order > 2 ** 10:
         return lower, False
+    if _fqn_excluded(U, lower):
+        return lower, True
     L = linear_set(U)
     for d in _divisors(n):
         if d <= lower:
             continue
-        if not _rank_feasible(t.q, d, n, len(L.points)):
+        if not _rank_feasible(t.q, d, n, U.r, len(L.points)):
             continue  # no candidate rank fits, so d is refuted outright
         found = _search_fqd_subspace(U, L, d, _REFUTE_NODE_BUDGET)
         if found is None or found:
@@ -805,17 +810,27 @@ def set_linearity(U: Subspace) -> Tuple[int, bool]:
     return lower, True
 
 
-def _rank_feasible(q: int, d: int, n: int, npts: int) -> bool:
-    """Can any F_{q^d}-subspace V have a linear set of exactly npts points?
+def _fqn_excluded(U: Subspace, lower: int) -> bool:
+    """n is the only divisor above lower, and the point count rules it out."""
+    t = U.tower
+    return ([d for d in _divisors(t.n) if d > lower] == [t.n] and U.m <= t.n
+            and len({canonical_point(t, v) for v in U.basis}) > 1)
+
+
+def _rank_feasible(q: int, d: int, n: int, r: int, npts: int) -> bool:
+    """Can any F_{q^d}-subspace V of F_{q^n}^r span exactly npts points?
 
     The nonzero vectors of V split over the points with weights that are
     positive multiples of d (and at most n), so q^dim(V) - 1 must be a sum
-    of npts terms q^(k*d) - 1.  False refutes every candidate V at once.
+    of npts terms q^(k*d) - 1.  A V of rank m > (r-1)n meets each point (an
+    n-dimensional F_q-space in rn dimensions), so L_V is all of PG(r-1, q^n)
+    and npts = (q^(rn)-1)/(q^n-1).  False refutes every candidate V at once.
     """
     levels = [q ** (k * d) - 1 for k in range(1, n // d + 1)]
     hi = npts * levels[-1]
+    top = n * (r if npts == (q ** (r * n) - 1) // (q ** n - 1) else r - 1)
     m = d
-    while True:
+    while m <= top:
         total = q ** m - 1
         if total > hi:
             return False
@@ -827,6 +842,7 @@ def _rank_feasible(q: int, d: int, n: int, npts: int) -> bool:
         if total in sums:
             return True
         m += d
+    return False
 
 
 def _search_fqd_subspace(U: Subspace, L: LinearSet, d: int,

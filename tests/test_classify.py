@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linsetlab import classify, linalg
+from linsetlab import classify, linalg, linset
 from linsetlab.classify import (
     PairVerdict,
     _detect_generalized,
@@ -477,10 +477,11 @@ def test_twist_classes_settle_the_pairs_of_the_per_pair_forms():
                     cases["perp_multiple"] = cases.get("perp_multiple", 0) + 1
                 else:
                     pending.append((x, y))
-        assert classify._twist_classes(t, polys, data, False) == \
+        members = [list(f.coeffs) for f in polys]
+        assert classify._twist_classes(t, members, data, False) == \
             (cases, pending)
         # members that are already canonical are their own forms
-        reps = [LinearizedPolynomial(t, c) for c in dict.fromkeys(canon)]
+        reps = [list(c) for c in dict.fromkeys(canon)]
         assert classify._twist_classes(t, reps, data, True) == \
             classify._twist_classes(t, reps, data, False)
 
@@ -589,6 +590,26 @@ def test_set_linearity_runs_on_every_bucket_only_at_small_orders():
     large = bucket_search(2, 1, 6, budget=1000, sample=300)  # order 64
     assert large.buckets
     assert not any("set_linearity" in b for b in large.buckets.values())
+
+
+def test_set_linearity_settles_every_2_1_4_bucket_by_counting(monkeypatch):
+    # the (2,1,4) sets of 9 and 13 points would need F_4-subspaces of rank
+    # 6 > (r-1)n = 4, so no bucket reaches the refutation search
+    calls = {"lin": 0, "search": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(classify, "set_linearity",
+                        counted("lin", classify.set_linearity))
+    monkeypatch.setattr(linset, "_search_fqd_subspace",
+                        counted("search", linset._search_fqd_subspace))
+    rep = bucket_search(2, 1, 4)
+    assert calls == {"lin": len(rep.buckets), "search": 0}
+    assert all(b["linearity_exact"] for b in rep.buckets.values())
 
 
 def test_bucket_search_modulo_twist_collapses_orbits():

@@ -7,8 +7,10 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from linsetlab import gf, linset
+from linsetlab.classify import bucket_search
 from linsetlab.dickson import DicksonMatrix
 from linsetlab.errors import (
     AmbientMismatchError,
@@ -22,7 +24,7 @@ from linsetlab.errors import (
     VertexNotInSetError,
     ZeroParameterError,
 )
-from linsetlab.linpoly import LinearizedPolynomial
+from linsetlab.linpoly import LinearizedPolynomial, poly_from_id
 from linsetlab.linset import (
     GeneralizedDecomposition,
     LinearSet,
@@ -648,13 +650,105 @@ def test_set_linearity_lower_bound_paths(monkeypatch):
     d, exact = set_linearity(U)
     assert d == 1 and exact is False  # field too big for the refutation search
     t4 = gf.build_tower(2, 1, 4)
-    U1 = construct_club(t4.element(0), t4.element(1), t4.element(1))
-    d, exact = set_linearity(U1)
-    assert d == 1 and exact is True  # default budget refutes d = 2 outright
+    # 5 points fit an F_4-subspace of rank 4, so only the search refutes d = 2
+    U5 = Subspace(t4, 2, [(15, 12), (6, 3), (15, 0)])
+    assert len(linear_set(U5).points) == 5
+    assert set_linearity(U5) == (1, True)
     monkeypatch.setattr(linset, "_REFUTE_NODE_BUDGET", 1)
-    U1 = construct_club(t4.element(0), t4.element(1), t4.element(1))
-    d, exact = set_linearity(U1)
+    U5 = Subspace(t4, 2, [(15, 12), (6, 3), (15, 0)])
+    d, exact = set_linearity(U5)
     assert d == 1 and exact is False  # budget too small to refute d = 2
+    # the club's 9 points need rank 6 > (r-1)n = 4: refuted for any budget
+    U1 = construct_club(t4.element(0), t4.element(1), t4.element(1))
+    assert set_linearity(U1) == (1, True)
+
+
+def _sum_feasible(q, d, n, npts):
+    """The rank test without the (r-1)n bound: some multiple m of d with
+    q^m - 1 a sum of npts terms q^(k*d) - 1, k*d <= n."""
+    levels = [q ** (k * d) - 1 for k in range(1, n // d + 1)]
+    m = d
+    while q ** m - 1 <= npts * levels[-1]:
+        sums = {0}
+        for _ in range(npts):
+            sums = {s + lv for s in sums for lv in levels if s + lv <= q ** m - 1}
+        if q ** m - 1 in sums:
+            return True
+        m += d
+    return False
+
+
+RANK_BOUND_CASES = [((2, 1, 4), 2), ((2, 1, 6), 2), ((3, 1, 4), 2),
+                    ((2, 1, 3), 3), ((2, 1, 4), 3)]
+
+
+@st.composite
+def _random_subspaces(draw):
+    (p, e, n), r = draw(st.sampled_from(RANK_BOUND_CASES))
+    t = gf.build_tower(p, e, n)
+    # ranks near (r-1)n, where the bound and the sum test part ways
+    k = draw(st.integers((r - 1) * n - 1, (r - 1) * n + 1))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return Subspace(t, r, [[rng.randrange(t.order) for _ in range(r)]
+                           for _ in range(k)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_random_subspaces())
+def test_rank_bound_refutes_only_what_the_search_refutes(U):
+    t, r = U.tower, U.r
+    L = linear_set(U)
+    for d in linset._divisors(t.n)[1:]:
+        npts = len(L.points)
+        if _sum_feasible(t.q, d, t.n, npts) and not linset._rank_feasible(
+                t.q, d, t.n, r, npts):
+            assert linset._search_fqd_subspace(
+                U, L, d, linset._REFUTE_NODE_BUDGET) is False
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_random_subspaces())
+def test_rank_bound_keeps_every_fqd_subspace(U):
+    # close a random F_q-subspace under F_(q^d) scalars: the bound must
+    # still admit the linear set of the F_(q^d)-subspace it spans
+    assume(U.m > 0)  # the rank test counts nonzero candidates only
+    t, r = U.tower, U.r
+    for d in linset._divisors(t.n)[1:]:
+        etas = t.powers(t.subfield_generator(d), d)
+        V = Subspace(t, r, [tuple(t.mul(eta, c) for c in v)
+                            for v in U.basis for eta in etas])
+        assert linset._rank_feasible(t.q, d, t.n, r, len(linear_set(V).points))
+
+
+def test_fqn_shortcut_leaves_fqn_linear_sets_alone():
+    # one point and the whole line are F_8-linear sets that U does not
+    # span over F_8: the search must find the larger subspace
+    t = gf.build_tower(2, 1, 3)
+    point = Subspace(t, 2, [(1, 0)])
+    line = Subspace(t, 2, [(xj, 0) for xj in t.power_basis] + [(0, 1)])
+    assert len(linear_set(line).points) == t.order + 1
+    assert set_linearity(point) == set_linearity(line) == (1, False)
+
+
+def _bucket_reps(p, e, n):
+    t = gf.build_tower(p, e, n)
+    return [graph_subspace(poly_from_id(t, b["members"][0]))
+            for b in bucket_search(p, e, n).buckets.values()]
+
+
+@pytest.mark.parametrize("p, e, n", [(2, 1, 3), (3, 1, 3)])
+def test_fqn_shortcut_agrees_with_enumeration(monkeypatch, p, e, n):
+    reps = _bucket_reps(p, e, n)
+    enumerated = []
+    with monkeypatch.context() as m:
+        m.setattr(linset, "linear_set",
+                  lambda U: enumerated.append(U) or linear_set(U))
+        fast = [set_linearity(U) for U in reps]
+    fired = sum(linset._fqn_excluded(U, d) for U, (d, _) in zip(reps, fast))
+    # at prime n every bucket is settled without enumerating its points
+    assert fired == len(reps) and not enumerated
+    monkeypatch.setattr(linset, "_fqn_excluded", lambda U, lower: False)
+    assert fast == [set_linearity(U) for U in reps]
 
 
 def test_canonical_point():
