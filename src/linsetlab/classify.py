@@ -15,7 +15,8 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from . import linalg
 from .dickson import DicksonMatrix, fingerprint_digest
@@ -32,6 +33,7 @@ from .linpoly import (
     _adjoint_coeffs,
     _id_coeffs,
     _twist_coeffs,
+    poly_from_id,
 )
 from .linset import (
     Subspace,
@@ -559,44 +561,83 @@ def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
     return groups
 
 
-def _twist_classes(tower: FieldTower, members, twist_data, canonical: bool):
+def _tail_id(coeffs: Sequence[int], order: int) -> int:
+    """The id of the tail coefficients 1..n-1 of coeffs (pid // order)."""
+    v = 0
+    for c in reversed(coeffs[1:]):
+        v = v * order + c
+    return v
+
+
+def _tail_forms(tower: FieldTower, tids: Iterable[int],
+                canonical: bool) -> Dict[int, Tuple[int, int]]:
+    """tail id -> (tail id of the twist form of (0,) + tail, tail id of the
+    twist form of that form's adjoint), one entry per distinct tail.
+
+    a_0 is fixed by every twist and by the adjoint, so the form of
+    (c0,) + tail is (c0,) + the form of (0,) + tail, and likewise for the
+    adjoint form.  With canonical every tail is twist-canonical and is its
+    own form.  An adjoint tail that is itself among tids takes its form
+    from there, so a scan closed under the adjoint (every full scan) makes
+    one _twist_canonical_form call per distinct tail."""
+    order = tower.order
+    twist_data = _twist_tables(tower)
+
+    def form(tid: int) -> int:
+        return _tail_id(_twist_canonical_form(
+            tower, _id_coeffs(tower, tid * order), twist_data), order)
+
+    forms = {tid: tid if canonical else form(tid) for tid in tids}
+    adjoints: Dict[int, int] = {}
+    for f in set(forms.values()):
+        a = _tail_id(_adjoint_coeffs(tower, _id_coeffs(tower, f * order)),
+                     order)
+        adjoints[f] = forms[a] if a in forms else form(a)
+    return {tid: (f, adjoints[f]) for tid, f in forms.items()}
+
+
+def _twist_classes(ids: Sequence[int], order: int,
+                   forms: Dict[int, Tuple[int, int]]):
     """Settle the scalar and perp pairs of one bucket by twist class.
 
-    Members (coefficient lists) with one canonical form are twists of one
-    another, so each class gives C(c, 2) multiple pairs; the adjoint of a
-    twist is a twist of the adjoint, so one adjoint form per class finds the
-    classes whose c_A * c_B cross pairs are perp_multiple.  With canonical
-    every member is twist-canonical and is its own form.  Returns (case
-    counts, pairs (x, y) left for the full classifier, x < y)."""
+    Members (ids) with one canonical form are twists of one another, so
+    each class gives C(c, 2) multiple pairs; the adjoint of a twist is a
+    twist of the adjoint, so one adjoint form per class finds the classes
+    whose c_A * c_B cross pairs are perp_multiple.  forms holds the
+    _tail_forms entry of every member's tail; a class is named by the id
+    of its form.  Returns (case counts, pairs (x, y) left for the full
+    classifier, x < y)."""
     cls: List[int] = []
-    forms: Dict[Tuple[int, ...], int] = {}
-    for coeffs in members:
-        form = (tuple(coeffs) if canonical
-                else _twist_canonical_form(tower, coeffs, twist_data))
-        cls.append(forms.setdefault(form, len(forms)))
-    sizes = [0] * len(forms)
+    classes: Dict[int, int] = {}
+    adj_ids: List[int] = []
+    for pid in ids:
+        tid, c0 = divmod(pid, order)
+        form, adj = forms[tid]
+        k = classes.setdefault(c0 + form * order, len(classes))
+        if k == len(adj_ids):
+            adj_ids.append(c0 + adj * order)
+        cls.append(k)
+    sizes = [0] * len(classes)
     for k in cls:
         sizes[k] += 1
-    adj = [forms.get(_twist_canonical_form(
-        tower, _adjoint_coeffs(tower, form), twist_data)) for form in forms]
+    adj = [classes.get(a) for a in adj_ids]
     # the adjoint map is an involution on the classes, so each related
     # pair of classes is met once with a > k
     related = [(k, a) for k, a in enumerate(adj) if a is not None and a > k]
     cases = {"multiple": sum(c * (c - 1) // 2 for c in sizes),
              "perp_multiple": sum(sizes[k] * sizes[a] for k, a in related)}
-    pending = [(x, y) for x in range(len(members))
-               for y in range(x + 1, len(members))
-               if cls[x] != cls[y] and adj[cls[x]] != cls[y]]
+    m = len(ids)
+    pending = [] if sum(cases.values()) == m * (m - 1) // 2 else [
+        (x, y) for x in range(m) for y in range(x + 1, m)
+        if cls[x] != cls[y] and adj[cls[x]] != cls[y]]
     return {k: v for k, v in cases.items() if v}, pending
 
 
 def _classify_worker(args):
-    descriptor, items, paranoid, modulo_twist = args
+    descriptor, items, paranoid, forms = args
     tower = build_tower(*descriptor)
-    twist_data = _twist_tables(tower)
     results = []
     for key, ids in items:
-        members = [_id_coeffs(tower, pid) for pid in ids]
         cases: Dict[str, int] = {}
         anomalies: List[Tuple[int, int, str]] = []
         pending: List[Tuple[int, int]] = []
@@ -607,10 +648,9 @@ def _classify_worker(args):
             # scalar and perp pairs are exactly the twist-orbit matches, so
             # the twist classes settle them without the quadratic
             # diagonal-similarity sweep
-            cases, pending = _twist_classes(tower, members, twist_data,
-                                            modulo_twist)
+            cases, pending = _twist_classes(ids, tower.order, forms)
         need = range(len(ids)) if paranoid else {k for xy in pending for k in xy}
-        polys = {x: LinearizedPolynomial(tower, members[x]) for x in need}
+        polys = {x: poly_from_id(tower, ids[x]) for x in need}
         if pending:
             mats = {x: DicksonMatrix.from_poly(f) for x, f in polys.items()}
             for x, y in pending:
@@ -635,8 +675,7 @@ def _classify_worker(args):
                                       "point sets differ inside a bucket"))
         lin = None
         if tower.order <= LINEARITY_CHECK_ORDER:
-            lin = set_linearity(graph_subspace(
-                LinearizedPolynomial(tower, members[0])))
+            lin = set_linearity(graph_subspace(poly_from_id(tower, ids[0])))
         results.append((key, cases, anomalies, lin))
     return results
 
@@ -691,10 +730,11 @@ class BucketReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_chunks(worker, chunk_args, workers: int):
-    """Yield chunk results in submission order, inline or via a pool of
-    at most one process per chunk and per CPU."""
-    workers = min(workers, len(chunk_args), os.cpu_count() or 1)
+def _run_chunks(worker, chunk_args: Iterable, count: int, workers: int):
+    """Yield the results of the count chunks in submission order, inline
+    or via a pool of at most one process per chunk and per CPU.  Inline,
+    each chunk's args are taken from chunk_args only as it is reached."""
+    workers = min(workers, count, os.cpu_count() or 1)
     if workers <= 1:
         for args in chunk_args:
             yield worker(args)
@@ -732,7 +772,8 @@ def _scan_buckets(tower: FieldTower, budget: Optional[int],
     visited = total if id_list is None else len(id_list)
     groups: Dict[Tuple[int, ...], List[int]] = {}
     next_tick = PROGRESS_EVERY
-    for k, res in enumerate(_run_chunks(_scan_worker, chunk_args, workers)):
+    for k, res in enumerate(_run_chunks(_scan_worker, chunk_args,
+                                                len(chunk_args), workers)):
         for fp, ids in res.items():
             groups.setdefault(fp, []).extend(ids)
         done = min((k + 1) * step, visited)
@@ -788,16 +829,26 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
     else:
         work_items = [(key, ids) for key, ids in bucket_members
                       if len(ids) > 1]
-    cls_args = [(descriptor, work_items[k:k + CLASSIFY_CHUNK], paranoid,
-                 modulo_twist)
-                for k in range(0, len(work_items), CLASSIFY_CHUNK)]
+    # the twist forms of every tail in a multi-member bucket, once per
+    # search; each chunk carries the entries of its own members
+    order = tower.order
+    tids = set() if paranoid else {pid // order for _, ids in bucket_members
+                                   if len(ids) > 1 for pid in ids}
+    forms = _tail_forms(tower, tids, modulo_twist)
+    chunks = [work_items[k:k + CLASSIFY_CHUNK]
+              for k in range(0, len(work_items), CLASSIFY_CHUNK)]
+    cls_args = ((descriptor, chunk, paranoid,
+                 {} if paranoid else {pid // order: forms[pid // order]
+                                      for _, ids in chunk if len(ids) > 1
+                                      for pid in ids})
+                for chunk in chunks)
     histogram: Dict[str, int] = {}
     anomalies: List[dict] = []
     linearity_flags: List[dict] = []
     alerts: List[str] = []
     n_is_prime = len(_divisors(n)) == 2
     member_map = dict(bucket_members)
-    for res in _run_chunks(_classify_worker, cls_args, workers):
+    for res in _run_chunks(_classify_worker, cls_args, len(chunks), workers):
         for key, cases, bucket_anoms, lin in res:
             buckets[key]["cases"] = dict(sorted(cases.items()))
             for case, count in cases.items():
@@ -866,16 +917,13 @@ def verify_club_uniqueness(p: int, e: int, n: int,
     # sets have at most (q^n-1)/(q^d-1) < q^(n-1)+1 points, fewer than a club
     _, bucket_members, _ = _scan_buckets(tower, budget, None, False,
                                          workers, progress)
-    twist_data = _twist_tables(tower)
-    for _, ids in bucket_members:
-        if len(ids) < 2:
-            continue
-        members = [_id_coeffs(tower, pid) for pid in ids]
-        if not any(is_club_coeffs(tower, c) for c in members):
-            continue
-        # one twist-canonical form per bucket: b_i = a_i * lambda^(q^i - 1),
-        # the relation diag_similar tests
-        forms = {_twist_canonical_form(tower, c, twist_data) for c in members}
-        if len(forms) > 1:
-            return False
-    return True
+    order = tower.order
+    clubs = [ids for _, ids in bucket_members if len(ids) > 1
+             and any(is_club_coeffs(tower, _id_coeffs(tower, pid))
+                     for pid in ids)]
+    forms = _tail_forms(tower, {pid // order for ids in clubs for pid in ids},
+                        False)
+    # one twist-canonical form per bucket: b_i = a_i * lambda^(q^i - 1),
+    # the relation diag_similar tests
+    return all(len({pid % order + forms[pid // order][0] * order
+                    for pid in ids}) == 1 for ids in clubs)

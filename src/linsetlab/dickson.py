@@ -14,9 +14,13 @@ D = diag(a, a^q, ..., a^(q^(s-1))) and c = -a, the classical expansion
     det(B_I - D_I) = sum over J in I of c^(e_J) * det B_(I-J),
     e_J = sum over i in J of q^i,
 
-gives every principal minor of A from those of B (det B_{} = 1).  A matrix
-built by B._shifted(a) remembers B, and its fingerprint() takes B's minors
-once per B and then one lookup per nonzero term on towers with log tables.
+gives every principal minor of A from those of B (det B_{} = 1).  On a
+tower with log tables, B._shift_table() evaluates the expansion for every
+nonzero c at once: with c = g^L each term is exp[L*e_J + log det B_(I-J)],
+one C-level gather over all L per term, and row L of the table is the
+fingerprint of B - D for that c.  A matrix built by B._shifted(a) returns
+its row, so B's determinants and gathers are paid once however many of
+its shifts are fingerprinted.
 
 A matrix may have size s < n provided s | n and every coefficient lies in
 the intermediate field F_{q^s}; such smaller matrices drive the recursive
@@ -26,6 +30,7 @@ step of pair classification entirely inside the big field.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
@@ -97,11 +102,33 @@ def _necklaces(size: int):
     return cached
 
 
+_GATHERS: Dict[FieldTower, tuple] = {}
+
+
+def _tower_gathers(tower: FieldTower) -> tuple:
+    """Per tower with log tables: the exp table twice over, the table of
+    v -> v^q, and a dict e -> _gather(q^n - 1, e) that fills as used."""
+    cached = _GATHERS.get(tower)
+    if cached is None:
+        frob = [tower.frobenius(v, 1) for v in range(tower.order)]
+        cached = _GATHERS[tower] = (tower._exp * 2, frob, {})
+    return cached
+
+
+def _gather(onum: int, e: int):
+    """Maps exp2[lm : lm + onum] to (exp[(L*e + lm) mod onum] for every L);
+    a one-index itemgetter would return a bare value, so onum = 1 keeps
+    the one-entry slice as it is."""
+    if onum == 1:
+        return tuple
+    return operator.itemgetter(*[L * e % onum for L in range(onum)])
+
+
 class DicksonMatrix:
     """Immutable s x s Dickson matrix over a FieldTower (s | n)."""
 
     __slots__ = ("tower", "coeffs", "size", "_rows", "_source", "_minors",
-                 "_terms")
+                 "_terms", "_table")
 
     def __init__(self, tower: FieldTower, coeffs: Iterable):
         vals = tuple(_unwrap(tower, c) for c in coeffs)
@@ -115,11 +142,17 @@ class DicksonMatrix:
                 if not tower.in_subfield(v, size):
                     raise ValueError(
                         f"size-{size} matrix needs coefficients in F_(q^{size})")
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "coeffs", vals)
-        object.__setattr__(self, "size", size)
-        for slot in ("_rows", "_source", "_minors", "_terms"):
-            object.__setattr__(self, slot, None)
+        self._init(tower, vals, size, None)
+
+    def _init(self, tower: FieldTower, vals: Tuple[int, ...], size: int,
+              source: Optional[tuple]) -> None:
+        put = object.__setattr__
+        put(self, "tower", tower)
+        put(self, "coeffs", vals)
+        put(self, "size", size)
+        put(self, "_source", source)
+        for slot in ("_rows", "_minors", "_terms", "_table"):
+            put(self, slot, None)
 
     def __setattr__(self, *a):
         raise AttributeError("DicksonMatrix is immutable")
@@ -174,15 +207,18 @@ class DicksonMatrix:
         computed directly; the rest of the orbit follows from
         minor(I+1 mod s) = minor(I)^q, which also holds for s < n because
         every coefficient then satisfies a^(q^s) = a.  A matrix made by
-        B._shifted(a) on a tower with log tables expands each orbit's
-        minor from B's principal minors (see the module docstring); any
-        other matrix takes one determinant per orbit."""
+        B._shifted(a) on a tower with log tables returns its row of
+        B._shift_table() (see the module docstring); any other matrix
+        takes one determinant per orbit."""
         s = self.size
         if s > bound:
             raise TooLargeError(
                 f"fingerprint needs 2^{s} minors; raise the bound to allow")
         if self._source is not None and self.tower.has_tables:
-            return self._expanded_minors()
+            source, c = self._source
+            if not c:
+                return source._principal_minors()
+            return source._shift_table()[self.tower._log[c]]
         return self._principal_minors()
 
     def _principal_minors(self) -> Tuple[int, ...]:
@@ -231,22 +267,29 @@ class DicksonMatrix:
             object.__setattr__(self, "_terms", terms)
         return self._terms
 
-    def _expanded_minors(self) -> Tuple[int, ...]:
-        """The fingerprint of source - diag(a, ...) from the source's
-        minors: sum_J c^(e_J) det B_(I-J) with c = -a, one exp-table
-        lookup per term."""
-        source, c = self._source
-        if not c:
-            return source._principal_minors()
-        t = self.tower
-        exp, onum, lc, add = t._exp, t._onum, t._log[c], t.add
-        reps = []
-        for row in source._diagonal_terms():
-            v = 0
-            for e, lm in row:
-                v = add(v, exp[(lc * e + lm) % onum])
-            reps.append(v)
-        return self._fill_orbits(reps)
+    def _shift_table(self) -> List[Tuple[int, ...]]:
+        """Row L is the fingerprint of self - diag(a, a^q, ...) for
+        c = -a = g^L, L = 0 .. q^n - 2, each minor summed over the terms of
+        _diagonal_terms by one gather per term.  Cached."""
+        if self._table is None:
+            t, s = self.tower, self.size
+            onum = t._onum
+            exp2, frob, gathers = _tower_gathers(t)
+            add = operator.xor if t.p == 2 else t.add
+            cols: List[Sequence[int]] = [(1,) * onum] * (1 << s)
+            for row, (_, masks) in zip(self._diagonal_terms(), _necklaces(s)):
+                col = None
+                for e, lm in row:
+                    gather = gathers.get(e)
+                    if gather is None:
+                        gather = gathers[e] = _gather(onum, e)
+                    term = gather(exp2[lm:lm + onum])
+                    col = term if col is None else list(map(add, col, term))
+                cols[masks[0]] = col
+                for mask in masks[1:]:
+                    col = cols[mask] = list(map(frob.__getitem__, col))
+            object.__setattr__(self, "_table", list(zip(*cols)))
+        return self._table
 
     def digest(self, bound: int = FINGERPRINT_BOUND) -> int:
         """64-bit mixing digest of the serialized fingerprint (collisions
@@ -257,11 +300,14 @@ class DicksonMatrix:
 
     def _shifted(self, a: int) -> "DicksonMatrix":
         """The matrix of f - a*x, i.e. A - diag(a, a^q, ..., a^(q^(s-1))).
-        It remembers A as its source, so its fingerprint() expands from
-        A's principal minors, which A computes once and keeps."""
-        t = self.tower
-        out = DicksonMatrix(t, (t.sub(self.coeffs[0], a),) + self.coeffs[1:])
-        object.__setattr__(out, "_source", (self, t.neg(a)))
+        It remembers A as its source, so its fingerprint() is a row of
+        A's shift table, which A computes once and keeps."""
+        t, s = self.tower, self.size
+        if s < t.n and not t.in_subfield(a, s):
+            raise ValueError(f"size-{s} matrix needs coefficients in F_(q^{s})")
+        out = DicksonMatrix.__new__(DicksonMatrix)
+        out._init(t, (t.sub(self.coeffs[0], a),) + self.coeffs[1:], s,
+                  (self, t.neg(a)))
         return out
 
     def char_value(self, lam0) -> int:

@@ -28,7 +28,7 @@ from linsetlab.errors import (
     NotEqualSetsError,
 )
 from linsetlab.gf import build_tower
-from linsetlab.linpoly import LinearizedPolynomial, poly_from_id
+from linsetlab.linpoly import LinearizedPolynomial, poly_from_id, poly_to_id
 from linsetlab.linset import (
     Subspace,
     construct_club,
@@ -477,13 +477,19 @@ def test_twist_classes_settle_the_pairs_of_the_per_pair_forms():
                     cases["perp_multiple"] = cases.get("perp_multiple", 0) + 1
                 else:
                     pending.append((x, y))
-        members = [list(f.coeffs) for f in polys]
-        assert classify._twist_classes(t, members, data, False) == \
+        ids = [poly_to_id(f) for f in polys]
+        forms = classify._tail_forms(t, {pid // t.order for pid in ids},
+                                     False)
+        assert classify._twist_classes(ids, t.order, forms) == \
             (cases, pending)
         # members that are already canonical are their own forms
-        reps = [list(c) for c in dict.fromkeys(canon)]
-        assert classify._twist_classes(t, reps, data, True) == \
-            classify._twist_classes(t, reps, data, False)
+        reps = [poly_to_id(LinearizedPolynomial(t, c))
+                for c in dict.fromkeys(canon)]
+        tids = {pid // t.order for pid in reps}
+        assert classify._twist_classes(
+            reps, t.order, classify._tail_forms(t, tids, True)) == \
+            classify._twist_classes(
+                reps, t.order, classify._tail_forms(t, tids, False))
 
 
 # -- bucket search ---------------------------------------------------------------
@@ -556,12 +562,13 @@ def test_run_chunks_bounds_the_pool(monkeypatch):
     for chunks, workers, pool in ((10, 500, [3]), (2, 500, [2]), (10, 2, [2]),
                                   (1, 500, []), (10, 1, [])):
         started.clear()
-        out = list(classify._run_chunks(square, list(range(chunks)), workers))
+        out = list(classify._run_chunks(square, iter(range(chunks)), chunks,
+                                        workers))
         assert out == [k * k for k in range(chunks)]
         assert started == pool
     monkeypatch.setattr(classify.os, "cpu_count", lambda: None)
     started.clear()
-    assert list(classify._run_chunks(square, [1, 2, 3], 4)) == [1, 4, 9]
+    assert list(classify._run_chunks(square, [1, 2, 3], 3, 4)) == [1, 4, 9]
     assert started == []
     # one scan chunk and one classify chunk: no pool at all, same report
     monkeypatch.setattr(classify.os, "cpu_count", lambda: 3)
