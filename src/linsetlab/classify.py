@@ -34,6 +34,7 @@ from .linpoly import (
     _id_coeffs,
     _twist_coeffs,
     poly_from_id,
+    poly_to_id,
 )
 from .linset import (
     Subspace,
@@ -561,14 +562,6 @@ def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
     return groups
 
 
-def _tail_id(coeffs: Sequence[int], order: int) -> int:
-    """The id of the tail coefficients 1..n-1 of coeffs (pid // order)."""
-    v = 0
-    for c in reversed(coeffs[1:]):
-        v = v * order + c
-    return v
-
-
 def _tail_forms(tower: FieldTower, tids: Iterable[int],
                 canonical: bool) -> Dict[int, Tuple[int, int]]:
     """tail id -> (tail id of the twist form of (0,) + tail, tail id of the
@@ -583,15 +576,17 @@ def _tail_forms(tower: FieldTower, tids: Iterable[int],
     order = tower.order
     twist_data = _twist_tables(tower)
 
+    def tail_id(coeffs: Sequence[int]) -> int:
+        return poly_to_id(LinearizedPolynomial(tower, coeffs)) // order
+
     def form(tid: int) -> int:
-        return _tail_id(_twist_canonical_form(
-            tower, _id_coeffs(tower, tid * order), twist_data), order)
+        return tail_id(_twist_canonical_form(
+            tower, _id_coeffs(tower, tid * order), twist_data))
 
     forms = {tid: tid if canonical else form(tid) for tid in tids}
     adjoints: Dict[int, int] = {}
     for f in set(forms.values()):
-        a = _tail_id(_adjoint_coeffs(tower, _id_coeffs(tower, f * order)),
-                     order)
+        a = tail_id(_adjoint_coeffs(tower, _id_coeffs(tower, f * order)))
         adjoints[f] = forms[a] if a in forms else form(a)
     return {tid: (f, adjoints[f]) for tid, f in forms.items()}
 

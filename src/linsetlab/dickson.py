@@ -107,21 +107,15 @@ _GATHERS: Dict[FieldTower, tuple] = {}
 
 def _tower_gathers(tower: FieldTower) -> tuple:
     """Per tower with log tables: the exp table twice over, the table of
-    v -> v^q, and a dict e -> _gather(q^n - 1, e) that fills as used."""
+    v -> v^q, and a dict e -> gather that fills as used.  The gather for e
+    maps exp2[lm : lm + onum] to (exp[(L*e + lm) mod onum] for every L),
+    onum = q^n - 1; a one-index itemgetter would return a bare value, so
+    at onum = 1 it keeps the one-entry slice as it is."""
     cached = _GATHERS.get(tower)
     if cached is None:
         frob = [tower.frobenius(v, 1) for v in range(tower.order)]
         cached = _GATHERS[tower] = (tower._exp * 2, frob, {})
     return cached
-
-
-def _gather(onum: int, e: int):
-    """Maps exp2[lm : lm + onum] to (exp[(L*e + lm) mod onum] for every L);
-    a one-index itemgetter would return a bare value, so onum = 1 keeps
-    the one-entry slice as it is."""
-    if onum == 1:
-        return tuple
-    return operator.itemgetter(*[L * e % onum for L in range(onum)])
 
 
 class DicksonMatrix:
@@ -246,8 +240,7 @@ class DicksonMatrix:
     def _diagonal_terms(self) -> List[List[Tuple[int, int]]]:
         """Per necklace with smallest mask I, the pairs (e_J, log det B_(I-J))
         over the subsets J of I whose minor det B_(I-J) is nonzero; e_J is
-        sum_{i in J} q^i mod q^n - 1.  Cached, for matrices made by
-        _shifted from this one."""
+        sum_{i in J} q^i mod q^n - 1.  Cached, for _shift_table."""
         if self._terms is None:
             t, s = self.tower, self.size
             minors, log, qpow = self._principal_minors(), t._log, t._frob_exp
@@ -282,7 +275,9 @@ class DicksonMatrix:
                 for e, lm in row:
                     gather = gathers.get(e)
                     if gather is None:
-                        gather = gathers[e] = _gather(onum, e)
+                        gather = gathers[e] = tuple if onum == 1 else \
+                            operator.itemgetter(*[L * e % onum
+                                                  for L in range(onum)])
                     term = gather(exp2[lm:lm + onum])
                     col = term if col is None else list(map(add, col, term))
                 cols[masks[0]] = col
