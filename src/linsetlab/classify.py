@@ -15,8 +15,8 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Collection, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from . import linalg
 from .dickson import DicksonMatrix, fingerprint_digest
@@ -562,7 +562,7 @@ def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
     return groups
 
 
-def _tail_forms(tower: FieldTower, tids: Iterable[int],
+def _tail_forms(tower: FieldTower, tids: Collection[int],
                 canonical: bool) -> Dict[int, Tuple[int, int]]:
     """tail id -> (tail id of the twist form of (0,) + tail, tail id of the
     twist form of that form's adjoint), one entry per distinct tail.
@@ -572,7 +572,10 @@ def _tail_forms(tower: FieldTower, tids: Iterable[int],
     adjoint form.  With canonical every tail is twist-canonical and is its
     own form.  An adjoint tail that is itself among tids takes its form
     from there, so a scan closed under the adjoint (every full scan) makes
-    one _twist_canonical_form call per distinct tail."""
+    one _twist_canonical_form call per distinct tail.  No tids, no twist
+    tables, which towers without log tables cannot build."""
+    if not tids:
+        return {}
     order = tower.order
     twist_data = _twist_tables(tower)
 

@@ -28,7 +28,12 @@ from linsetlab.errors import (
     NotEqualSetsError,
 )
 from linsetlab.gf import build_tower
-from linsetlab.linpoly import LinearizedPolynomial, poly_from_id, poly_to_id
+from linsetlab.linpoly import (
+    LinearizedPolynomial,
+    _adjoint_coeffs,
+    poly_from_id,
+    poly_to_id,
+)
 from linsetlab.linset import (
     Subspace,
     construct_club,
@@ -492,6 +497,40 @@ def test_twist_classes_settle_the_pairs_of_the_per_pair_forms():
                 reps, t.order, classify._tail_forms(t, tids, False))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), pen=st.sampled_from(
+    [(2, 1, 4), (5, 1, 3), (3, 1, 4), (2, 2, 3), (2, 1, 6)]))
+def test_twist_forms_depend_on_the_tail_only(data, pen):
+    # a_0 is fixed by every twist and by the adjoint, which is what lets
+    # bucket_search take one form and one adjoint form per tail
+    t = build_tower(*pen)
+    tables = _twist_tables(t)
+    coeff = st.just(0) | st.integers(1, t.order - 1)  # zeros often
+    c0 = data.draw(coeff)
+    tail = data.draw(st.lists(coeff, min_size=t.n - 1, max_size=t.n - 1))
+    for op in (list, lambda cs: _adjoint_coeffs(t, cs)):
+        form = _twist_canonical_form(t, op([c0] + tail), tables)
+        assert form == (c0,) + _twist_canonical_form(
+            t, op([0] + tail), tables)[1:]
+
+
+def test_full_search_takes_one_twist_form_per_tail(monkeypatch):
+    # bucket_search takes each distinct tail's form once, before the
+    # classify phase; the adjoint forms of a full scan are all among them
+    t = build_tower(2, 1, 4)
+    form, calls = classify._twist_canonical_form, [0]
+
+    def counting_form(*args):
+        calls[0] += 1
+        return form(*args)
+
+    monkeypatch.setattr(classify, "_twist_canonical_form", counting_form)
+    rep = bucket_search(2, 1, 4)
+    tails = {pid // t.order for b in rep.buckets.values()
+             for pid in b["members"]}
+    assert 0 < calls[0] <= len(tails)
+
+
 # -- bucket search ---------------------------------------------------------------
 
 
@@ -587,6 +626,10 @@ def test_bucket_search_budget_and_sample():
     assert json.dumps(r1.to_json()) == json.dumps(r2.to_json())
     assert r1.params["visited"] == 300
     assert r1.total_ids == 64 ** 6
+    # order 2^22 has no log tables, so no twist tables: a sample whose
+    # buckets are all single needs none
+    r3 = bucket_search(2, 11, 2, sample=50)
+    assert r3.scanned == r3.bucket_count == 50
 
 
 def test_set_linearity_runs_on_every_bucket_only_at_small_orders():

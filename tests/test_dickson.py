@@ -116,18 +116,29 @@ def test_fingerprint_equals_every_principal_minor(data, pen):
     # the necklace rule minor(I+1) = minor(I)^q against one det per mask,
     # on full-size matrices and on size-s matrices over F_(q^s), s | n;
     # the same matrix reached as a shift of a zero-diagonal source and of
-    # a nonzero-diagonal source takes the diagonal expansion instead
+    # a nonzero-diagonal source takes its row of the source's shift table.
+    # Each source's table is also checked row by row against the
+    # determinant route for every diagonal c0 in F_(q^s), c0 = 0 included;
+    # at s = n those rows are the whole table
     t = gf.build_tower(*pen)
     s = data.draw(st.sampled_from([d for d in range(1, t.n + 1) if t.n % d == 0]))
-    nonzero = t.subfield_elements(s)[1:]
-    coeff = st.just(0) | st.sampled_from(nonzero)  # zeros often
+    subfield = t.subfield_elements(s)
+    coeff = st.just(0) | st.sampled_from(subfield[1:])  # zeros often
     A = DicksonMatrix(t, data.draw(st.lists(coeff, min_size=s, max_size=s)))
     minors = [A.minor(mask) for mask in range(1, 1 << s)]
+    by_det = {c0: DicksonMatrix(t, (c0,) + A.coeffs[1:]).fingerprint()
+              for c0 in subfield}
     shifts = []
-    for b0 in (0, data.draw(st.sampled_from(nonzero))):
+    for b0 in (0, data.draw(st.sampled_from(subfield[1:]))):
         B = DicksonMatrix(t, (b0,) + A.coeffs[1:])
         shifts.append(B._shifted(t.sub(b0, A.coeffs[0])))
         assert shifts[-1] == A
+        table = B._shift_table()
+        assert len(table) == t.order - 1
+        for c0 in subfield:
+            c = t.sub(c0, b0)
+            row = table[t._log[c]] if c else B._shifted(0).fingerprint()
+            assert row == by_det[c0]
     for M in [A] + shifts:
         fp = M.fingerprint()
         assert fp[0] == 1
@@ -299,6 +310,25 @@ def test_root_multiplicity_examples():
     B = DicksonMatrix.from_poly(LinearizedPolynomial(t, [6]))
     assert B.root_multiplicity(6) == (t.q ** 3 - 1) // (t.q - 1)
     assert B.root_multiplicity(5) == 0
+
+
+@pytest.mark.parametrize("pen, s", [((2, 1, 4), 2), ((2, 1, 6), 3),
+                                    ((3, 1, 4), 2), ((2, 2, 3), 1)])
+def test_size_s_shift_refuses_values_outside_the_subfield(pen, s):
+    # char_value and root_multiplicity shift a size-s matrix by lam0; a
+    # lam0 outside F_(q^s) would put a foreign coefficient on its diagonal
+    t = gf.build_tower(*pen)
+    sub = t.subfield_elements(s)
+    A = DicksonMatrix(t, [sub[-1]] + [sub[1]] * (s - 1))
+    for lam0 in range(t.order):
+        if lam0 in sub:
+            A.char_value(lam0)
+            A.root_multiplicity(lam0)
+            continue
+        with pytest.raises(ValueError):
+            A.char_value(lam0)
+        with pytest.raises(ValueError):
+            A.root_multiplicity(lam0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,12 @@ SEARCHES = {
     "2-1-3-paranoid": ((2, 1, 3), {"paranoid": True}),
     "2-1-3-twist-workers2": ((2, 1, 3), {"modulo_twist": True, "workers": 2}),
     "2-1-6-sample": ((2, 1, 6), {"budget": 1000, "sample": 300}),
+    # towers where q^n - 1 is 1, 2 or 3: the shift table has one, two or
+    # three rows, and n = 1 leaves every id with the empty tail
+    "2-1-1": ((2, 1, 1), {}),
+    "3-1-1": ((3, 1, 1), {}),
+    "2-1-2": ((2, 1, 2), {}),
+    "2-2-1": ((2, 2, 1), {}),
 }
 
 SEARCH_HASHES = {
@@ -48,6 +54,14 @@ SEARCH_HASHES = {
         "e0352e5dabc95915c14a6bbd13326a02215d87eb3c9355fb5c3c6f928ae5a976",
     "2-1-6-sample":
         "a749d6d66863720900da112b1b0f51c16812f82c957c923e6fe4ee6a2c02e6c0",
+    "2-1-1":
+        "df4aadf01b1c61ca02a28bc4c4ee852288b6dd2bdfc33b556c85286a2ca80415",
+    "3-1-1":
+        "c357a59aae18f3f90d63ddbd1a46c250413aecfdff7fa942cefcd823a807250c",
+    "2-1-2":
+        "a818c90783b403ddf3021ee46ca46c859df2b24fabd9fe257e9507c4523469a2",
+    "2-2-1":
+        "2c5670bc9d97b0c73c050d44924a87a6d51eb836032c38cd85d7df10d7ee66c6",
 }
 
 PAIR_HASHES = {
