@@ -1,0 +1,71 @@
+"""tools/bench_pairs.py on synthetic run.py result lines."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def result_line(op_ms, items, correct=True, failed=0):
+    return json.dumps({"correct": correct, "attempted": 5, "failed": failed,
+                       "metrics": {"op_ms_p50": {"value": op_ms, "unit": "ms"},
+                                   "items_per_s": {"value": items,
+                                                   "unit": "1/s"}}})
+
+
+def write(directory, name, *lines):
+    (directory / name).write_text("\n".join(("progress text",) + lines) + "\n")
+
+
+def test_pairs_summarize_in_the_committed_layout(tmp_path):
+    parent = [100.0, 110.0, 90.0, 105.0, 95.0]
+    change = [60.0, 120.0, 50.0, 70.0, 65.0]
+    for seed, (p, c) in enumerate(zip(parent, change), start=1):
+        write(tmp_path, f"search-2-4-{seed}-parent.json", result_line(p, 1000 / p))
+        write(tmp_path, f"search-2-4-{seed}-change.json", result_line(c, 1000 / c))
+        write(tmp_path, f"pairs-mixed-{seed}-parent.json", result_line(1.0, 700))
+        write(tmp_path, f"pairs-mixed-{seed}-change.json",
+              result_line(1.0, 700, failed=seed == 2))
+    # a seed run on one side only is not a pair
+    write(tmp_path, "search-2-4-6-parent.json", result_line(1.0, 1.0))
+    (tmp_path / "notes.txt").write_text("not a result")
+    assert bench_pairs.main(["--label", "t", "--parent", "p0", "--change",
+                             "c0", "--out-dir", str(tmp_path),
+                             str(tmp_path)]) == 0
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    # benchmark order, not file order
+    assert list(out["workloads"]) == ["search-2-4", "pairs-mixed"]
+    wl = out["workloads"]["search-2-4"]
+    assert wl["pairs"] == 5 and wl["seeds"] == [1, 2, 3, 4, 5]
+    assert wl["all_correct"] and wl["failed"] == {"parent": 0, "change": 0}
+    assert wl["attempted"] == {"parent": 25, "change": 25}
+    op = wl["metrics"]["op_ms_p50"]
+    assert op["parent"] == {"median": 100.0, "q1": 95.0, "q3": 105.0}
+    assert op["change"] == {"median": 65.0, "q1": 60.0, "q3": 70.0}
+    assert op["change_vs_parent_median"] == -0.35
+    assert op["change_wins"] == 4 and op["better"] == "lower"
+    assert op["parent_runs"] == parent and op["change_runs"] == change
+    assert wl["metrics"]["items_per_s"]["change_wins"] == 4
+    assert out["workloads"]["pairs-mixed"]["failed"] == {"parent": 0,
+                                                         "change": 1}
+    # the layout of the committed result files
+    committed = json.loads((ROOT / "BENCH_pr9.json").read_text())
+    assert out.keys() == committed.keys()
+    ref = committed["workloads"]["search-2-4"]
+    assert wl.keys() == ref.keys()
+    assert op.keys() == ref["metrics"]["op_ms_p50"].keys()
+
+
+def test_bad_result_line_is_a_one_line_error(tmp_path, capsys):
+    write(tmp_path, "search-2-4-1-parent.json", "Traceback (most recent call)")
+    assert bench_pairs.main(["--label", "t", "--parent", "p", "--change", "c",
+                             str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: search-2-4-1-parent.json")
+    assert err.count("\n") == 1
+    assert not (ROOT / "BENCH_t.json").exists()

@@ -1,0 +1,140 @@
+"""Summarize alternating parent/change benchmark runs into BENCH_<label>.json.
+
+    python3 tools/bench_pairs.py --label LABEL --parent SHA --change SHA DIR
+
+DIR holds one file per (workload, seed, side), named
+<workload>-<seed>-<side>.json with side "parent" or "change", whose last
+line is the JSON object that perfbench/run.py prints last.  Each seed
+with both sides present is one pair.  For every end-to-end metric the
+output gives both sides' median and quartiles (inclusive method), the
+change's median relative to the parent's, the number of pairs the change
+wins (strictly better in the direction BENCHMARK.json gives), and every
+run in seed order.  The Python version and core count written are those
+of the machine that runs this script, so run it where the benchmark ran.
+Bad input ends in a one-line error and exit code 1.
+"""
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+NAME = re.compile(r"^(?P<workload>.+)-(?P<seed>\d+)-(?P<side>parent|change)\.json$")
+SIDES = ("parent", "change")
+FIELDS = {"correct", "attempted", "failed", "metrics"}
+COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds 15 --trace 0"
+METHOD = ("one run per side and seed; odd seeds run the parent first, "
+          "even seeds the change first")
+
+
+def load_runs(directory: Path) -> dict:
+    """{workload: {seed: {side: run.py result}}} from the files in DIR."""
+    runs: dict = {}
+    for path in sorted(directory.iterdir()):
+        m = NAME.match(path.name)
+        if m is None:
+            continue
+        lines = path.read_text().strip().splitlines()
+        try:
+            result = json.loads(lines[-1]) if lines else None
+        except ValueError:
+            result = None
+        if not isinstance(result, dict) or not FIELDS <= result.keys():
+            raise ValueError(f"{path.name}: last line is not a run.py result")
+        runs.setdefault(m["workload"], {}).setdefault(
+            int(m["seed"]), {})[m["side"]] = result
+    if not runs:
+        raise ValueError(f"no <workload>-<seed>-<side>.json files in {directory}")
+    return runs
+
+
+def spread(values: list) -> dict:
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = values[0]
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def summarize(by_seed: dict, better: dict) -> dict:
+    """One workload's block: its pairs are the seeds run on both sides."""
+    seeds = sorted(s for s, sides in by_seed.items() if len(sides) == 2)
+    if not seeds:
+        raise ValueError("a workload has no seed run on both sides")
+    pairs = [by_seed[s] for s in seeds]
+    metrics = {}
+    for name, info in pairs[0]["parent"]["metrics"].items():
+        if name not in better:
+            raise ValueError(f"metric {name} is not an end-to-end metric "
+                             "of BENCHMARK.json")
+        vals = {side: [p[side]["metrics"][name]["value"] for p in pairs]
+                for side in SIDES}
+        lower = better[name] == "lower"
+        parent_median = statistics.median(vals["parent"])
+        metrics[name] = {
+            "unit": info["unit"], "better": better[name],
+            "parent": spread(vals["parent"]),
+            "change": spread(vals["change"]),
+            "change_vs_parent_median": round(
+                statistics.median(vals["change"]) / parent_median - 1, 4)
+            if parent_median else None,
+            "change_wins": sum((c < p) if lower else (c > p)
+                               for p, c in zip(vals["parent"], vals["change"])),
+            "parent_runs": [round(v, 4) for v in vals["parent"]],
+            "change_runs": [round(v, 4) for v in vals["change"]],
+        }
+    return {
+        "pairs": len(seeds), "seeds": seeds,
+        "all_correct": all(p[side]["correct"] for p in pairs for side in SIDES),
+        "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
+        "attempted": {side: sum(p[side]["attempted"] for p in pairs)
+                      for side in SIDES},
+        "metrics": metrics,
+    }
+
+
+def dump(obj, depth: int = 0) -> str:
+    """json with one-space indents, lists of numbers kept on one line."""
+    pad = " " * (depth + 1)
+    if isinstance(obj, dict) and obj:
+        items = [f"{pad}{json.dumps(k)}: {dump(v, depth + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + " " * depth + "}"
+    return json.dumps(obj)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("directory", type=Path)
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--parent", required=True, help="parent commit sha")
+    ap.add_argument("--change", required=True, help="change commit sha")
+    ap.add_argument("--out-dir", type=Path, default=ROOT)
+    args = ap.parse_args(argv)
+    try:
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        order = [w["name"] for w in spec["workloads"]]
+        runs = load_runs(args.directory)
+        out = {"parent": args.parent, "change": args.change,
+               "python": platform.python_version(), "cores": os.cpu_count(),
+               "command": COMMAND, "method": METHOD,
+               "workloads": {wl: summarize(runs[wl], better) for wl in sorted(
+                   runs, key=lambda w: order.index(w) if w in order
+                   else len(order))}}
+        path = args.out_dir / f"BENCH_{args.label}.json"
+        path.write_text(dump(out) + "\n")
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
