@@ -536,10 +536,11 @@ def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
     """Exact fingerprint -> ascending ids of one chunk's kept candidates.
     Ids are walked in runs that share a tail, so the filters run once per
     tail and the ids of a dropped tail are skipped without a step each.
-    When a run holds more than one id, each id's matrix is the shift of
-    its tail's zero-diagonal matrix, so its fingerprint expands from the
-    minors the tail computes once; a lone id (as in most sampled scans)
-    takes the determinant route, which costs it less."""
+    When a run holds more than one id, the id (c0, tail) is fingerprinted
+    as the shift f + c0*x of its tail's zero-diagonal matrix, so its
+    fingerprint expands from the minors the tail computes once; a lone id
+    (as in most sampled scans) takes the determinant route on its own
+    matrix, which costs it less."""
     descriptor, lo, hi, ids, modulo_twist = args
     tower = build_tower(*descriptor)
     twist_data = _twist_tables(tower) if modulo_twist else None
@@ -552,12 +553,14 @@ def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
         end = bisect.bisect_left(pids, (tid + 1) * order, k)
         tail = _tail_filtered(tower, tid, modulo_twist, twist_data)
         if tail is not None:
-            base = DicksonMatrix(tower, [0] + tail) if end - k > 1 else None
-            for pid in pids[k:end]:
-                c0 = pid % order
-                mat = (base._shifted(tower.neg(c0)) if base
-                       else DicksonMatrix(tower, [c0] + tail))
-                groups.setdefault(mat.fingerprint(), []).append(pid)
+            if end - k > 1:
+                base = DicksonMatrix(tower, [0] + tail)
+                for pid in pids[k:end]:
+                    groups.setdefault(base.fingerprint(pid % order),
+                                      []).append(pid)
+            else:
+                fp = DicksonMatrix(tower, [pids[k] % order] + tail).fingerprint()
+                groups.setdefault(fp, []).append(pids[k])
         k = end
     return groups
 
@@ -916,9 +919,12 @@ def verify_club_uniqueness(p: int, e: int, n: int,
     _, bucket_members, _ = _scan_buckets(tower, budget, None, False,
                                          workers, progress)
     order = tower.order
-    clubs = [ids for _, ids in bucket_members if len(ids) > 1
-             and any(is_club_coeffs(tower, _id_coeffs(tower, pid))
-                     for pid in ids)]
+    shared = [ids for _, ids in bucket_members if len(ids) > 1]
+    # being a club reads only a_1 .. a_(n-1): one test per distinct tail
+    club_tails = {tid for tid in {pid // order for ids in shared for pid in ids}
+                  if is_club_coeffs(tower, _id_coeffs(tower, tid * order))}
+    clubs = [ids for ids in shared
+             if any(pid // order in club_tails for pid in ids)]
     forms = _tail_forms(tower, {pid // order for ids in clubs for pid in ids},
                         False)
     # one twist-canonical form per bucket: b_i = a_i * lambda^(q^i - 1),

@@ -18,9 +18,9 @@ gives every principal minor of A from those of B (det B_{} = 1).  On a
 tower with log tables, B._shift_table() evaluates the expansion for every
 nonzero c at once: with c = g^L each term is exp[L*e_J + log det B_(I-J)],
 one C-level gather over all L per term, and row L of the table is the
-fingerprint of B - D for that c.  A matrix built by B._shifted(a) returns
-its row, so B's determinants and gathers are paid once however many of
-its shifts are fingerprinted.
+fingerprint of B - D for that c.  B.fingerprint(c) is the fingerprint of
+f + c*x, read from that row, so B's determinants and gathers are paid
+once however many of its shifts are fingerprinted.
 
 A matrix may have size s < n provided s | n and every coefficient lies in
 the intermediate field F_{q^s}; such smaller matrices drive the recursive
@@ -121,8 +121,7 @@ def _tower_gathers(tower: FieldTower) -> tuple:
 class DicksonMatrix:
     """Immutable s x s Dickson matrix over a FieldTower (s | n)."""
 
-    __slots__ = ("tower", "coeffs", "size", "_rows", "_source", "_minors",
-                 "_terms", "_table")
+    __slots__ = ("tower", "coeffs", "size", "_rows", "_minors", "_table")
 
     def __init__(self, tower: FieldTower, coeffs: Iterable):
         vals = tuple(_unwrap(tower, c) for c in coeffs)
@@ -136,16 +135,11 @@ class DicksonMatrix:
                 if not tower.in_subfield(v, size):
                     raise ValueError(
                         f"size-{size} matrix needs coefficients in F_(q^{size})")
-        self._init(tower, vals, size, None)
-
-    def _init(self, tower: FieldTower, vals: Tuple[int, ...], size: int,
-              source: Optional[tuple]) -> None:
         put = object.__setattr__
         put(self, "tower", tower)
         put(self, "coeffs", vals)
         put(self, "size", size)
-        put(self, "_source", source)
-        for slot in ("_rows", "_minors", "_terms", "_table"):
+        for slot in ("_rows", "_minors", "_table"):
             put(self, slot, None)
 
     def __setattr__(self, *a):
@@ -193,27 +187,31 @@ class DicksonMatrix:
     def determinant(self) -> int:
         return linalg.det(self.tower, self.rows())
 
-    def fingerprint(self, bound: int = FINGERPRINT_BOUND) -> Tuple[int, ...]:
-        """All 2^s principal minors, indexed by subset bitmask ascending;
-        the empty-set entry is fixed to 1.
+    def fingerprint(self, shift: int = 0) -> Tuple[int, ...]:
+        """All 2^s principal minors of the matrix of f + shift*x, indexed by
+        subset bitmask ascending; the empty-set entry is fixed to 1.
 
         Only the smallest mask of each cyclic orbit of index sets is
         computed directly; the rest of the orbit follows from
         minor(I+1 mod s) = minor(I)^q, which also holds for s < n because
-        every coefficient then satisfies a^(q^s) = a.  A matrix made by
-        B._shifted(a) on a tower with log tables returns its row of
-        B._shift_table() (see the module docstring); any other matrix
-        takes one determinant per orbit."""
-        s = self.size
-        if s > bound:
+        every coefficient then satisfies a^(q^s) = a.  A nonzero shift on
+        a tower with log tables reads its row of self._shift_table() (see
+        the module docstring); otherwise the shifted matrix takes one
+        determinant per orbit."""
+        t, s = self.tower, self.size
+        if s > FINGERPRINT_BOUND:
             raise TooLargeError(
-                f"fingerprint needs 2^{s} minors; raise the bound to allow")
-        if self._source is not None and self.tower.has_tables:
-            source, c = self._source
-            if not c:
-                return source._principal_minors()
-            return source._shift_table()[self.tower._log[c]]
-        return self._principal_minors()
+                f"fingerprint needs 2^{s} minors, above 2^{FINGERPRINT_BOUND}")
+        if not 0 <= shift < t.order:
+            raise ValueError(f"shift {shift} is not a field element")
+        if not shift:
+            return self._principal_minors()
+        if s < t.n and not t.in_subfield(shift, s):
+            raise ValueError(f"size-{s} matrix needs coefficients in F_(q^{s})")
+        if t.has_tables:
+            return self._shift_table()[t._log[shift]]
+        return DicksonMatrix(t, (t.add(self.coeffs[0], shift),)
+                             + self.coeffs[1:])._principal_minors()
 
     def _principal_minors(self) -> Tuple[int, ...]:
         """The fingerprint by one determinant per necklace, cached."""
@@ -240,30 +238,29 @@ class DicksonMatrix:
     def _diagonal_terms(self) -> List[List[Tuple[int, int]]]:
         """Per necklace with smallest mask I, the pairs (e_J, log det B_(I-J))
         over the subsets J of I whose minor det B_(I-J) is nonzero; e_J is
-        sum_{i in J} q^i mod q^n - 1.  Cached, for _shift_table."""
-        if self._terms is None:
-            t, s = self.tower, self.size
-            minors, log, qpow = self._principal_minors(), t._log, t._frob_exp
-            exps = [sum(qpow[i] for i in range(s) if mask >> i & 1)
-                    for mask in range(1 << s)]
-            terms = []
-            for _, masks in _necklaces(s):
-                rep, row, sub = masks[0], [], masks[0]
-                while True:
-                    m = minors[rep & ~sub]
-                    if m:
-                        row.append((exps[sub], log[m]))
-                    if not sub:
-                        break
-                    sub = (sub - 1) & rep
-                terms.append(row)
-            object.__setattr__(self, "_terms", terms)
-        return self._terms
+        sum_{i in J} q^i mod q^n - 1."""
+        t, s = self.tower, self.size
+        minors, log, qpow = self._principal_minors(), t._log, t._frob_exp
+        exps = [sum(qpow[i] for i in range(s) if mask >> i & 1)
+                for mask in range(1 << s)]
+        terms = []
+        for _, masks in _necklaces(s):
+            rep, row, sub = masks[0], [], masks[0]
+            while True:
+                m = minors[rep & ~sub]
+                if m:
+                    row.append((exps[sub], log[m]))
+                if not sub:
+                    break
+                sub = (sub - 1) & rep
+            terms.append(row)
+        return terms
 
     def _shift_table(self) -> List[Tuple[int, ...]]:
-        """Row L is the fingerprint of self - diag(a, a^q, ...) for
-        c = -a = g^L, L = 0 .. q^n - 2, each minor summed over the terms of
-        _diagonal_terms by one gather per term.  Cached."""
+        """Row L is the fingerprint of f + c*x, i.e. of
+        self + diag(c, c^q, ...), for c = g^L, L = 0 .. q^n - 2, each minor
+        summed over the terms of _diagonal_terms by one gather per term.
+        Cached."""
         if self._table is None:
             t, s = self.tower, self.size
             onum = t._onum
@@ -286,24 +283,17 @@ class DicksonMatrix:
             object.__setattr__(self, "_table", list(zip(*cols)))
         return self._table
 
-    def digest(self, bound: int = FINGERPRINT_BOUND) -> int:
+    def digest(self) -> int:
         """64-bit mixing digest of the serialized fingerprint (collisions
         must be resolved by comparing full fingerprints)."""
-        return fingerprint_digest(self.tower, self.fingerprint(bound))
+        return fingerprint_digest(self.tower, self.fingerprint())
 
     # -- characteristic function ---------------------------------------------------
 
     def _shifted(self, a: int) -> "DicksonMatrix":
-        """The matrix of f - a*x, i.e. A - diag(a, a^q, ..., a^(q^(s-1))).
-        It remembers A as its source, so its fingerprint() is a row of
-        A's shift table, which A computes once and keeps."""
-        t, s = self.tower, self.size
-        if s < t.n and not t.in_subfield(a, s):
-            raise ValueError(f"size-{s} matrix needs coefficients in F_(q^{s})")
-        out = DicksonMatrix.__new__(DicksonMatrix)
-        out._init(t, (t.sub(self.coeffs[0], a),) + self.coeffs[1:], s,
-                  (self, t.neg(a)))
-        return out
+        """The matrix of f - a*x, i.e. A - diag(a, a^q, ..., a^(q^(s-1)))."""
+        t = self.tower
+        return DicksonMatrix(t, (t.sub(self.coeffs[0], a),) + self.coeffs[1:])
 
     def char_value(self, lam0) -> int:
         """det(A - diag(lam0, lam0^q, ..., lam0^(q^(s-1))))."""

@@ -18,7 +18,7 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .dickson import DicksonMatrix
+from .dickson import FINGERPRINT_BOUND, DicksonMatrix
 from .errors import (
     AmbientMismatchError,
     BadExponentError,
@@ -706,7 +706,7 @@ def fqd_lines(U: Subspace, d: int) -> List[Tuple[Point, int]]:
 # r >= 3: multi-matrix coefficient maps and cones
 # ---------------------------------------------------------------------------
 
-def multi_coeffs(mats: Sequence[DicksonMatrix], bound: int = 12):
+def multi_coeffs(mats: Sequence[DicksonMatrix]):
     """Map (index-set mask, psi) -> det of the mixed-column matrix whose
     column j uses matrix psi(j); equality of two maps is the point-set
     equality criterion for graphs in PG(r-1, q^n) avoiding P_infinity."""
@@ -717,8 +717,8 @@ def multi_coeffs(mats: Sequence[DicksonMatrix], bound: int = 12):
     r = len(mats) + 1
     if r > 4:
         raise TooLargeError("combinatorial growth limits r to 4")
-    if s > bound:
-        raise TooLargeError(f"size {s} exceeds the bound {bound}")
+    if s > FINGERPRINT_BOUND:
+        raise TooLargeError(f"size {s} exceeds the bound {FINGERPRINT_BOUND}")
     for M in mats[1:]:
         if M.tower != t or M.size != s:
             raise AmbientMismatchError("matrices must share tower and size")

@@ -782,7 +782,7 @@ def test_sampled_scan_expands_only_tails_shared_by_several_ids(monkeypatch):
         return det(*args)
 
     def counting_terms(self):
-        expanded[0] += self._terms is None
+        expanded[0] += 1
         return terms(self)
 
     monkeypatch.setattr(linalg, "det", counting_det)
@@ -891,6 +891,22 @@ def test_verify_club_uniqueness_catches_a_mixed_bucket(monkeypatch):
     monkeypatch.setattr(classify, "is_club_coeffs",
                         lambda t, coeffs: all(coeffs[1:]))
     assert verify_club_uniqueness(3, 1, 3) is False
+
+
+def test_verify_club_uniqueness_tests_each_tail_once(monkeypatch):
+    # being a club reads only a_1 .. a_(n-1), so the check makes one
+    # is_club_coeffs call per distinct tail of a shared bucket, not one per
+    # member (11,232 members at (3,1,3), against 3^6 = 729 tails)
+    t = build_tower(3, 1, 3)
+    is_club, tails = classify.is_club_coeffs, []
+
+    def counting_is_club(tower, coeffs):
+        tails.append(tuple(coeffs[1:]))
+        return is_club(tower, coeffs)
+
+    monkeypatch.setattr(classify, "is_club_coeffs", counting_is_club)
+    assert verify_club_uniqueness(3, 1, 3)
+    assert 0 < len(tails) == len(set(tails)) <= t.order ** (t.n - 1)
 
 
 @pytest.mark.parametrize("p", [2, 3])

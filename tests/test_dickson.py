@@ -105,8 +105,12 @@ def test_fingerprint_shape_and_edges():
     assert fp[-1] == A.determinant()
     for mask in range(1, 8):
         assert fp[mask] == A.minor(mask)
+    for shift in (-1, t.order):  # not a field element
+        with pytest.raises(ValueError):
+            A.fingerprint(shift)
+    big = gf.build_tower(2, 1, FINGERPRINT_BOUND + 1)
     with pytest.raises(TooLargeError):
-        A.fingerprint(bound=2)
+        DicksonMatrix(big, [1] * big.n).fingerprint()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -115,11 +119,11 @@ def test_fingerprint_shape_and_edges():
 def test_fingerprint_equals_every_principal_minor(data, pen):
     # the necklace rule minor(I+1) = minor(I)^q against one det per mask,
     # on full-size matrices and on size-s matrices over F_(q^s), s | n;
-    # the same matrix reached as a shift of a zero-diagonal source and of
-    # a nonzero-diagonal source takes its row of the source's shift table.
-    # Each source's table is also checked row by row against the
-    # determinant route for every diagonal c0 in F_(q^s), c0 = 0 included;
-    # at s = n those rows are the whole table
+    # the same fingerprint reached as a shift of a zero-diagonal matrix B
+    # and of a nonzero-diagonal one, B.fingerprint(c), reads its row of
+    # B's shift table.  Each B's shifts and table rows are also checked
+    # against the determinant route for every diagonal c0 in F_(q^s),
+    # c0 = 0 included; at s = n those rows are the whole table
     t = gf.build_tower(*pen)
     s = data.draw(st.sampled_from([d for d in range(1, t.n + 1) if t.n % d == 0]))
     subfield = t.subfield_elements(s)
@@ -128,19 +132,18 @@ def test_fingerprint_equals_every_principal_minor(data, pen):
     minors = [A.minor(mask) for mask in range(1, 1 << s)]
     by_det = {c0: DicksonMatrix(t, (c0,) + A.coeffs[1:]).fingerprint()
               for c0 in subfield}
-    shifts = []
+    fps = [A.fingerprint()]
     for b0 in (0, data.draw(st.sampled_from(subfield[1:]))):
         B = DicksonMatrix(t, (b0,) + A.coeffs[1:])
-        shifts.append(B._shifted(t.sub(b0, A.coeffs[0])))
-        assert shifts[-1] == A
+        fps.append(B.fingerprint(t.sub(A.coeffs[0], b0)))
         table = B._shift_table()
         assert len(table) == t.order - 1
         for c0 in subfield:
             c = t.sub(c0, b0)
-            row = table[t._log[c]] if c else B._shifted(0).fingerprint()
-            assert row == by_det[c0]
-    for M in [A] + shifts:
-        fp = M.fingerprint()
+            assert B.fingerprint(c) == by_det[c0]
+            if c:
+                assert table[t._log[c]] == by_det[c0]
+    for fp in fps:
         assert fp[0] == 1
         assert list(fp[1:]) == minors
 
@@ -148,7 +151,7 @@ def test_fingerprint_equals_every_principal_minor(data, pen):
 def test_shift_without_log_tables_takes_one_det_per_necklace(monkeypatch):
     t = gf.build_tower(2, 11, 2)  # order 2^22, above the log-table cap
     assert not t.has_tables
-    A = DicksonMatrix(t, [0, 12345])._shifted(777)
+    A, S = DicksonMatrix(t, [0, 12345]), DicksonMatrix(t, [777, 12345])
     det, calls = linalg.det, []
 
     def counting_det(*args):
@@ -156,8 +159,18 @@ def test_shift_without_log_tables_takes_one_det_per_necklace(monkeypatch):
         return det(*args)
 
     monkeypatch.setattr(linalg, "det", counting_det)
-    assert A.fingerprint() == (1, A.minor(1), A.minor(2), A.minor(3))
+    assert A.fingerprint(777) == (1, S.minor(1), S.minor(2), S.minor(3))
     assert len(calls) == 2 + 3  # two necklaces, then the three minor() calls
+    # a shift outside the field, or on a size-1 matrix outside F_q, is refused
+    assert not t.in_subfield(12345, 1)
+    for M, shift in ((A, -1), (A, t.order), (DicksonMatrix(t, [1]), 12345)):
+        with pytest.raises(ValueError):
+            M.fingerprint(shift)
+    # in odd characteristic the shift is f + c*x, not f - c*x
+    t = gf.build_tower(3, 7, 2)
+    assert not t.has_tables
+    assert (DicksonMatrix(t, [0, 12345]).fingerprint(777)
+            == DicksonMatrix(t, [777, 12345]).fingerprint())
 
 
 @pytest.mark.parametrize("pen, dets", [((2, 1, 3), 3), ((2, 1, 4), 5),
@@ -315,8 +328,9 @@ def test_root_multiplicity_examples():
 @pytest.mark.parametrize("pen, s", [((2, 1, 4), 2), ((2, 1, 6), 3),
                                     ((3, 1, 4), 2), ((2, 2, 3), 1)])
 def test_size_s_shift_refuses_values_outside_the_subfield(pen, s):
-    # char_value and root_multiplicity shift a size-s matrix by lam0; a
-    # lam0 outside F_(q^s) would put a foreign coefficient on its diagonal
+    # char_value, root_multiplicity and fingerprint shift a size-s matrix
+    # by lam0; a lam0 outside F_(q^s) would put a foreign coefficient on
+    # its diagonal
     t = gf.build_tower(*pen)
     sub = t.subfield_elements(s)
     A = DicksonMatrix(t, [sub[-1]] + [sub[1]] * (s - 1))
@@ -324,11 +338,14 @@ def test_size_s_shift_refuses_values_outside_the_subfield(pen, s):
         if lam0 in sub:
             A.char_value(lam0)
             A.root_multiplicity(lam0)
+            A.fingerprint(lam0)
             continue
         with pytest.raises(ValueError):
             A.char_value(lam0)
         with pytest.raises(ValueError):
             A.root_multiplicity(lam0)
+        with pytest.raises(ValueError):
+            A.fingerprint(lam0)
 
 
 # ---------------------------------------------------------------------------

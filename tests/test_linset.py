@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from linsetlab import gf, linset
 from linsetlab.classify import bucket_search
-from linsetlab.dickson import DicksonMatrix
+from linsetlab.dickson import FINGERPRINT_BOUND, DicksonMatrix
 from linsetlab.errors import (
     AmbientMismatchError,
     BadExponentError,
@@ -599,6 +599,9 @@ def test_multi_coeffs_equality_matches_point_sets_r3():
     assert pairs_seen[False] > 0  # the sample distinguishes something
     with pytest.raises(TooLargeError):
         multi_coeffs([DicksonMatrix(t, [1, 1])] * 4)
+    big = gf.build_tower(2, 1, FINGERPRINT_BOUND + 1)
+    with pytest.raises(TooLargeError):
+        multi_coeffs([DicksonMatrix(big, [1] * big.n)])
 
 
 def test_is_cone_r3():
