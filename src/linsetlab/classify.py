@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import (Callable, Collection, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
-from . import linalg
+from . import dickson, linalg
 from .dickson import DicksonMatrix, fingerprint_digest
 from .errors import (
     AmbientMismatchError,
@@ -749,10 +749,7 @@ def _scan_buckets(tower: FieldTower, budget: Optional[int],
                   id_list: Optional[List[int]], modulo_twist: bool,
                   workers: int, progress: Optional[Callable[[int, int], None]]):
     """Scan id_list (every id when None) and bucket the kept candidates by
-    exact fingerprint; returns (visited, [(key, ascending ids)] in key
-    order, digest_collisions).  A key is the 16-hex-digit digest of the
-    fingerprint, suffixed -1, -2, ... in order of first member when
-    distinct fingerprints share a digest."""
+    exact fingerprint; returns (visited, {fingerprint: ascending ids})."""
     if workers < 1:
         raise BadParametersError(f"workers must be at least 1, got {workers}")
     total = tower.order ** tower.n
@@ -781,6 +778,12 @@ def _scan_buckets(tower: FieldTower, budget: Optional[int],
         if progress is not None and done >= next_tick:
             progress(done, visited)
             next_tick += PROGRESS_EVERY
+    return visited, groups
+
+
+def _name_buckets(tower: FieldTower, groups: Dict[Tuple[int, ...], List[int]]):
+    """([(key, ids)] in key order, digest_collisions).  A key is the 16-hex-
+    digit digest, suffixed -1, -2, ... by first member on a collision."""
     by_digest: Dict[int, List[List[int]]] = {}
     for fp, ids in groups.items():
         by_digest.setdefault(fingerprint_digest(tower, fp), []).append(ids)
@@ -790,7 +793,7 @@ def _scan_buckets(tower: FieldTower, budget: Optional[int],
             members.append((f"{digest:016x}" + (f"-{idx}" if idx else ""),
                             ids))
     collisions = sum(len(v) > 1 for v in by_digest.values())
-    return visited, members, collisions
+    return members, collisions
 
 
 def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
@@ -819,8 +822,16 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
     if sample is not None:
         rng = random.Random(0)
         id_list = sorted(rng.sample(range(total), min(sample, total)))
-    visited, bucket_members, collisions = _scan_buckets(
-        tower, budget, id_list, modulo_twist, workers, progress)
+    visited, groups = _scan_buckets(tower, budget, id_list, modulo_twist,
+                                    workers, progress)
+    bucket_members, collisions = _name_buckets(tower, groups)
+    alerts: List[str] = []
+    if paranoid:  # every name recomputed through the byte route
+        ref = {ids[0]: "%016x" % dickson.fnv1a64(dickson.fingerprint_to_bytes(
+            tower, fp)) for fp, ids in groups.items()}
+        alerts += [f"bucket {key}: name is not its fingerprint's digest"
+                   for key, ids in bucket_members if key[:16] != ref[ids[0]]]
+    del groups  # free the fingerprint keys before the classify phase
     scanned = sum(len(ids) for _, ids in bucket_members)
     buckets: Dict[str, dict] = {key: {"size": len(ids), "cases": {}}
                                 for key, ids in bucket_members}
@@ -846,7 +857,6 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
     histogram: Dict[str, int] = {}
     anomalies: List[dict] = []
     linearity_flags: List[dict] = []
-    alerts: List[str] = []
     n_is_prime = len(_divisors(n)) == 2
     member_map = dict(bucket_members)
     for res in _run_chunks(_classify_worker, cls_args, len(chunks), workers):
@@ -916,10 +926,9 @@ def verify_club_uniqueness(p: int, e: int, n: int,
     tower = build_tower(p, e, n, modulus)
     # the scan's gcd filter drops only F_(q^d)-linear graphs (d > 1), whose
     # sets have at most (q^n-1)/(q^d-1) < q^(n-1)+1 points, fewer than a club
-    _, bucket_members, _ = _scan_buckets(tower, budget, None, False,
-                                         workers, progress)
+    _, groups = _scan_buckets(tower, budget, None, False, workers, progress)
     order = tower.order
-    shared = [ids for _, ids in bucket_members if len(ids) > 1]
+    shared = [ids for ids in groups.values() if len(ids) > 1]
     # being a club reads only a_1 .. a_(n-1): one test per distinct tail
     club_tails = {tid for tid in {pid // order for ids in shared for pid in ids}
                   if is_club_coeffs(tower, _id_coeffs(tower, tid * order))}

@@ -25,12 +25,18 @@ once however many of its shifts are fingerprinted.
 A matrix may have size s < n provided s | n and every coefficient lies in
 the intermediate field F_{q^s}; such smaller matrices drive the recursive
 step of pair classification entirely inside the big field.
+
+Bucket names are FNV-1a digests: a step h <- (h xor b)*P mod 2^64 alters only
+the low 8 bits of h by the xor, and the low 8 bits of a sum or product mod
+2^64 depend only on those of its operands, so hashing k bytes s maps h to
+h*P^k + C_s[h mod 256] mod 2^64 for a 256-entry table C_s, one step per entry.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
@@ -53,15 +59,25 @@ FINGERPRINT_BOUND = 12
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_DIGESTS: Dict[FieldTower, tuple] = {}
+_TABLED_ORDER = 1 << 8  # larger fields repay 2 KB tables only on long runs
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash; deterministic across processes and runs."""
-    h = _FNV_OFFSET
+def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
+    """64-bit FNV-1a hash from state h; deterministic across processes."""
     for byte in data:
         h ^= byte
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+        h = (h * _FNV_PRIME) & _MASK64
     return h
+
+
+def _fnv_steps(data: bytes) -> Tuple[int, array]:
+    """(P^k, C) for the k bytes of data: FNV-1a over data takes any state h
+    to h*P^k + C[h mod 256] mod 2^64 (see the module docstring)."""
+    hs = [fnv1a64(data, x) for x in range(256)]
+    pk = pow(_FNV_PRIME, len(data), 1 << 64)
+    return pk, array("Q", [(h - x * pk) & _MASK64 for x, h in enumerate(hs)])
 
 
 def _as_indices(size: int, index_set: Union[int, Iterable[int]]) -> Tuple[int, ...]:
@@ -284,9 +300,9 @@ class DicksonMatrix:
         return self._table
 
     def digest(self) -> int:
-        """64-bit mixing digest of the serialized fingerprint (collisions
-        must be resolved by comparing full fingerprints)."""
-        return fingerprint_digest(self.tower, self.fingerprint())
+        """Byte-route FNV-1a of the fingerprint: one digest never repays
+        fingerprint_digest's tables.  Collisions need a full comparison."""
+        return fnv1a64(fingerprint_to_bytes(self.tower, self.fingerprint()))
 
     # -- characteristic function ---------------------------------------------------
 
@@ -433,4 +449,17 @@ def fingerprint_to_bytes(tower: FieldTower, fingerprint: Sequence[int]) -> bytes
 
 
 def fingerprint_digest(tower: FieldTower, fingerprint: Sequence[int]) -> int:
-    return fnv1a64(fingerprint_to_bytes(tower, fingerprint))
+    """fnv1a64(fingerprint_to_bytes(tower, fingerprint)), one step per entry
+    by the tower's tables, filled as values appear: the state after b"[" +
+    coeffs_json(v), and _fnv_steps(b"," + coeffs_json(v)) (module docstring)."""
+    if tower.order > _TABLED_ORDER:
+        return fnv1a64(fingerprint_to_bytes(tower, fingerprint))
+    starts, steps = _DIGESTS.get(tower) or _DIGESTS.setdefault(tower, ({}, {}))
+    if not fingerprint:
+        return fnv1a64(b"[]")
+    json, v = tower.coeffs_json, fingerprint[0]
+    h = starts.get(v) or starts.setdefault(v, fnv1a64(b"[" + json(v)))
+    for v in fingerprint[1:]:
+        pk, c = steps.get(v) or steps.setdefault(v, _fnv_steps(b"," + json(v)))
+        h = (h * pk + c[h & 255]) & _MASK64
+    return fnv1a64(b"]", h)

@@ -21,7 +21,10 @@ def _unwrap(tower: FieldTower, c) -> int:
         if c.tower != tower:
             raise AmbientMismatchError("coefficient from a different tower")
         return c.val
-    return int(c)
+    v = int(c)
+    if not 0 <= v < tower.order:
+        raise ValueError(f"packed value {v} out of range [0, {tower.order})")
+    return v
 
 
 def _twist_coeffs(tower: FieldTower, coeffs: Sequence[int], lam: int) -> List[int]:
@@ -48,9 +51,6 @@ class LinearizedPolynomial:
         vals = [_unwrap(tower, c) for c in coeffs]
         if len(vals) > tower.n:
             raise ValueError(f"at most n = {tower.n} coefficients allowed")
-        for v in vals:
-            if not 0 <= v < tower.order:
-                raise ValueError(f"packed coefficient {v} out of range")
         vals += [0] * (tower.n - len(vals))
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "coeffs", tuple(vals))

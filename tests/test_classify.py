@@ -695,6 +695,19 @@ def test_bucket_search_digest_collisions_resolved(monkeypatch):
         sorted(b["members"] for b in full.buckets.values())
 
 
+def test_paranoid_search_checks_every_name_against_the_byte_route(
+        monkeypatch):
+    true_digest = classify.fingerprint_digest
+    monkeypatch.setattr(classify, "fingerprint_digest",
+                        lambda t, fp: true_digest(t, fp) ^ 1)
+    assert not bucket_search(2, 1, 3).alerts
+    rep = bucket_search(2, 1, 3, paranoid=True)
+    assert len(rep.alerts) == rep.bucket_count > 1
+    assert not rep.theorem_confirmed
+    monkeypatch.undo()
+    assert bucket_search(2, 1, 3, paranoid=True).theorem_confirmed
+
+
 @pytest.mark.parametrize("p, modulo_twist", [(2, False), (3, True)])
 def test_bucket_keys_are_exact_fingerprints(p, modulo_twist):
     t = build_tower(p, 1, 3)
@@ -716,7 +729,8 @@ def test_buckets_are_the_slope_set_classes(pen):
     # no fingerprint on this side.  f(x)/x = c0 + g(x)/x for the tail g,
     # so each tail's slopes are computed once and translated per c0
     t = build_tower(*pen)
-    _, members, _ = classify._scan_buckets(t, None, None, False, 1, None)
+    _, groups = classify._scan_buckets(t, None, None, False, 1, None)
+    members = list(groups.items())
     tail_slopes = {}
     by_slopes = {}
     for _, ids in members:
@@ -730,6 +744,26 @@ def test_buckets_are_the_slope_set_classes(pen):
             by_slopes.setdefault(slopes, []).append(pid)
     assert len(members) > 1
     assert sorted(ids for _, ids in members) == sorted(by_slopes.values())
+
+
+@pytest.mark.parametrize("pen, modulo_twist", [
+    ((2, 1, 3), False), ((3, 1, 3), False), ((2, 1, 4), False),
+    ((2, 2, 2), False), ((2, 1, 4), True)])
+def test_buckets_translate_along_a0(pen, modulo_twist):
+    # (x, y) -> (x, y + gamma*x) maps the graph of f to that of f + gamma*x
+    # and fixes the twist and the adjoint, so the ids (c0 + gamma, tail) of
+    # a bucket's members are exactly the members of one bucket, with equal
+    # cases and set_linearity
+    t = build_tower(*pen)
+    rep = bucket_search(*pen, modulo_twist=modulo_twist)
+    rest = {tuple(b["members"]): {k: v for k, v in b.items() if k != "members"}
+            for b in rep.buckets.values()}
+    assert len(rest) > 1 and all("set_linearity" in b for b in rest.values())
+    for gamma in (1, 2, t.order - 1):
+        moved = {tuple(sorted(pid - pid % t.order + t.add(pid % t.order, gamma)
+                              for pid in members)): b
+                 for members, b in rest.items()}
+        assert moved == rest
 
 
 @pytest.mark.parametrize("pen", [(2, 1, 3), (3, 1, 3)])

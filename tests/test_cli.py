@@ -119,6 +119,8 @@ def test_field_info_budget_env(capsys, monkeypatch):
     ["show", "--f", "@{tmp}/not_json.txt"],
     ["show", "--f", "@{tmp}/no_coeffs.json"],
     ["show", "--f", "@{tmp}/bad_digits.json"],
+    ["show", "--fingerprint", "--f", "[1,1,1,1]*x"],
+    ["show", "--fingerprint", "--f", "@{tmp}/bad_digits.json"],
 ])
 def test_bad_workers_and_sample_are_one_line_errors(capsys, tmp_path, argv):
     (tmp_path / "not_json.txt").write_text("x^q + 1\n", encoding="utf-8")

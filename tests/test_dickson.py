@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linsetlab import gf, linalg
+from linsetlab import dickson, gf, linalg
 from linsetlab.dickson import (
     DicksonMatrix,
     FINGERPRINT_BOUND,
@@ -247,6 +247,33 @@ def test_fingerprint_digest_is_deterministic_fnv():
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), pen=st.sampled_from(
+    [(2, 1, 4), (5, 1, 3), (3, 1, 4), (2, 2, 3), (2, 11, 2)]))
+def test_table_digest_equals_the_byte_route(data, pen):
+    # one table step per entry against FNV-1a over the JSON bytes, on any
+    # value sequence up to a fingerprint's length: the first entry is not
+    # forced to 1, zeros come often, and (2,11,2) has no log tables
+    t = gf.build_tower(*pen)
+    value = st.just(0) | st.integers(0, t.order - 1)
+    vals = data.draw(st.lists(value, max_size=1 << t.n))
+    for seq in (vals, tuple(vals), ()):
+        assert fingerprint_digest(t, seq) == fnv1a64(fingerprint_to_bytes(t, seq))
+
+
+def test_table_digest_takes_the_byte_route_above_the_tabled_order(
+        monkeypatch):
+    # in a larger field few values recur often enough to repay a table
+    monkeypatch.setattr(dickson, "_DIGESTS", {})
+    rng = random.Random(5)
+    for pen, tabled in (((2, 1, 8), True), ((3, 1, 6), False)):
+        t = gf.build_tower(*pen)
+        for _ in range(20):
+            seq = [rng.randrange(t.order) for _ in range(16)]
+            assert fingerprint_digest(t, seq) == fnv1a64(fingerprint_to_bytes(t, seq))
+        assert (t in dickson._DIGESTS) == tabled
+
+
 # ---------------------------------------------------------------------------
 # characteristic values and multiplicities
 # ---------------------------------------------------------------------------
@@ -293,6 +320,37 @@ def test_char_value_zero_exactly_on_eigenvalue_directions():
                     if f.evaluate(v) == t.mul(a, v))
             has_root = w > 1
             assert (A.char_value(a) == 0) == has_root
+
+
+def test_values_outside_the_field_are_refused():
+    t = gf.build_tower(2, 1, 4)
+    for bad in (-4, t.order):
+        with pytest.raises(ValueError):
+            DicksonMatrix(t, [1, 2, 3, bad])
+    A = DicksonMatrix(t, [1, 2, 3, 4])
+    for bad in (-1, t.order):
+        with pytest.raises(ValueError):
+            A.char_value(bad)
+        with pytest.raises(ValueError):
+            A.root_multiplicity(bad)
+
+
+def test_out_of_range_coefficient_never_reaches_the_kernel(monkeypatch):
+    # without log tables FieldTower.add returns -1 for add(0, -1), and a
+    # fingerprint holding it does not finish: the check comes first
+    t = gf.build_tower(2, 11, 2)
+    assert not t.has_tables
+
+    def unreachable(*args):
+        raise AssertionError("FieldTower arithmetic reached")
+
+    for op in ("add", "sub"):
+        monkeypatch.setattr(t, op, unreachable)
+    for bad in (-1, t.order):
+        with pytest.raises(ValueError):
+            DicksonMatrix(t, [0, bad])
+        with pytest.raises(ValueError):
+            DicksonMatrix(t, [0, 1]).char_value(bad)
 
 
 def test_root_multiplicity_matches_kernel_count():
