@@ -827,10 +827,9 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
     bucket_members, collisions = _name_buckets(tower, groups)
     alerts: List[str] = []
     if paranoid:  # every name recomputed through the byte route
-        ref = {ids[0]: "%016x" % dickson.fnv1a64(dickson.fingerprint_to_bytes(
-            tower, fp)) for fp, ids in groups.items()}
-        alerts += [f"bucket {key}: name is not its fingerprint's digest"
-                   for key, ids in bucket_members if key[:16] != ref[ids[0]]]
+        alerts += [f"bucket of id {ids[0]}: name is not its fingerprint's digest"
+                   for fp, ids in groups.items() if fingerprint_digest(tower, fp)
+                   != dickson.fnv1a64(dickson.fingerprint_to_bytes(tower, fp))]
     del groups  # free the fingerprint keys before the classify phase
     scanned = sum(len(ids) for _, ids in bucket_members)
     buckets: Dict[str, dict] = {key: {"size": len(ids), "cases": {}}

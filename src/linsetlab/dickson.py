@@ -26,10 +26,12 @@ A matrix may have size s < n provided s | n and every coefficient lies in
 the intermediate field F_{q^s}; such smaller matrices drive the recursive
 step of pair classification entirely inside the big field.
 
-Bucket names are FNV-1a digests: a step h <- (h xor b)*P mod 2^64 alters only
-the low 8 bits of h by the xor, and the low 8 bits of a sum or product mod
-2^64 depend only on those of its operands, so hashing k bytes s maps h to
-h*P^k + C_s[h mod 256] mod 2^64 for a 256-entry table C_s, one step per entry.
+Bucket names are FNV-1a digests.  A step h <- (h xor b)*P mod 2^64 with an
+ASCII byte b < 128 maps h + 128m to its image of h plus 128m*P (the xor
+touches only the low 7 bits), so hashing k ASCII bytes s takes any state h
+to h*P^k + C_s[h mod 128] mod 2^64, C_s[x] being the hash of s from x minus
+x*P^k: one step per fingerprint entry.  A value gets its table C_s when it
+recurs, and each entry is filled when first read.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _DIGESTS: Dict[FieldTower, tuple] = {}
-_TABLED_ORDER = 1 << 8  # larger fields repay 2 KB tables only on long runs
 
 
 def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
@@ -70,14 +71,6 @@ def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
     return h
-
-
-def _fnv_steps(data: bytes) -> Tuple[int, array]:
-    """(P^k, C) for the k bytes of data: FNV-1a over data takes any state h
-    to h*P^k + C[h mod 256] mod 2^64 (see the module docstring)."""
-    hs = [fnv1a64(data, x) for x in range(256)]
-    pk = pow(_FNV_PRIME, len(data), 1 << 64)
-    return pk, array("Q", [(h - x * pk) & _MASK64 for x, h in enumerate(hs)])
 
 
 def _as_indices(size: int, index_set: Union[int, Iterable[int]]) -> Tuple[int, ...]:
@@ -300,9 +293,9 @@ class DicksonMatrix:
         return self._table
 
     def digest(self) -> int:
-        """Byte-route FNV-1a of the fingerprint: one digest never repays
-        fingerprint_digest's tables.  Collisions need a full comparison."""
-        return fnv1a64(fingerprint_to_bytes(self.tower, self.fingerprint()))
+        """64-bit FNV-1a digest of the serialized fingerprint (collisions
+        must be resolved by comparing full fingerprints)."""
+        return fingerprint_digest(self.tower, self.fingerprint())
 
     # -- characteristic function ---------------------------------------------------
 
@@ -449,17 +442,25 @@ def fingerprint_to_bytes(tower: FieldTower, fingerprint: Sequence[int]) -> bytes
 
 
 def fingerprint_digest(tower: FieldTower, fingerprint: Sequence[int]) -> int:
-    """fnv1a64(fingerprint_to_bytes(tower, fingerprint)), one step per entry
-    by the tower's tables, filled as values appear: the state after b"[" +
-    coeffs_json(v), and _fnv_steps(b"," + coeffs_json(v)) (module docstring)."""
-    if tower.order > _TABLED_ORDER:
-        return fnv1a64(fingerprint_to_bytes(tower, fingerprint))
-    starts, steps = _DIGESTS.get(tower) or _DIGESTS.setdefault(tower, ({}, {}))
+    """fnv1a64(fingerprint_to_bytes(tower, fingerprint)) by the tower's
+    tables (module docstring), one step per entry after the first.  A table
+    entry left 0 is recomputed, which is correct if it is truly 0."""
     if not fingerprint:
         return fnv1a64(b"[]")
+    starts, steps = _DIGESTS.get(tower) or _DIGESTS.setdefault(tower, ({}, {}))
     json, v = tower.coeffs_json, fingerprint[0]
     h = starts.get(v) or starts.setdefault(v, fnv1a64(b"[" + json(v)))
     for v in fingerprint[1:]:
-        pk, c = steps.get(v) or steps.setdefault(v, _fnv_steps(b"," + json(v)))
-        h = (h * pk + c[h & 255]) & _MASK64
+        step = steps.get(v)
+        if not step:  # bytes for v's first two steps; the second makes a table
+            data = b"," + json(v)
+            steps[v] = () if step is None else (
+                pow(_FNV_PRIME, len(data), 1 << 64), array("Q", bytes(1024)), data)
+            h = fnv1a64(data, h)
+            continue
+        pk, c, data = step
+        x = h & 127
+        if not c[x]:
+            c[x] = (fnv1a64(data, x) - x * pk) & _MASK64
+        h = (h * pk + c[x]) & _MASK64
     return fnv1a64(b"]", h)
