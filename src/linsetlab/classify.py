@@ -13,9 +13,10 @@ import bisect
 import math
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import (Callable, Collection, Dict, Iterable, List, Optional,
+from typing import (Callable, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
 from . import dickson, linalg
@@ -565,67 +566,49 @@ def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
     return groups
 
 
-def _tail_forms(tower: FieldTower, tids: Collection[int],
-                canonical: bool) -> Dict[int, Tuple[int, int]]:
-    """tail id -> (tail id of the twist form of (0,) + tail, tail id of the
-    twist form of that form's adjoint), one entry per distinct tail.
-
-    a_0 is fixed by every twist and by the adjoint, so the form of
-    (c0,) + tail is (c0,) + the form of (0,) + tail, and likewise for the
-    adjoint form.  With canonical every tail is twist-canonical and is its
-    own form.  An adjoint tail that is itself among tids takes its form
-    from there, so a scan closed under the adjoint (every full scan) makes
-    one _twist_canonical_form call per distinct tail.  No tids, no twist
-    tables, which towers without log tables cannot build."""
-    if not tids:
-        return {}
-    order = tower.order
-    twist_data = _twist_tables(tower)
-
-    def tail_id(coeffs: Sequence[int]) -> int:
-        return poly_to_id(LinearizedPolynomial(tower, coeffs)) // order
-
-    def form(tid: int) -> int:
-        return tail_id(_twist_canonical_form(
-            tower, _id_coeffs(tower, tid * order), twist_data))
-
-    forms = {tid: tid if canonical else form(tid) for tid in tids}
-    adjoints: Dict[int, int] = {}
-    for f in set(forms.values()):
-        a = tail_id(_adjoint_coeffs(tower, _id_coeffs(tower, f * order)))
-        adjoints[f] = forms[a] if a in forms else form(a)
-    return {tid: (f, adjoints[f]) for tid, f in forms.items()}
+def _tail_form(tower: FieldTower, tid: int) -> int:
+    """Tail id of the twist form of (0,) + the tail of tail id tid; a_0 is
+    fixed by every twist and by the adjoint, so the form of (c0,) + tail
+    is (c0,) + that form."""
+    form = _twist_canonical_form(tower, _id_coeffs(tower, tid * tower.order),
+                                 _twist_tables(tower))
+    return poly_to_id(LinearizedPolynomial(tower, form)) // tower.order
 
 
-def _twist_classes(ids: Sequence[int], order: int,
-                   forms: Dict[int, Tuple[int, int]]):
+def _twist_classes(tower: FieldTower, ids: Sequence[int], canonical: bool):
     """Settle the scalar and perp pairs of one bucket by twist class.
 
     Members (ids) with one canonical form are twists of one another, so
     each class gives C(c, 2) multiple pairs; the adjoint of a twist is a
     twist of the adjoint, so one adjoint form per class finds the classes
-    whose c_A * c_B cross pairs are perp_multiple.  forms holds the
-    _tail_forms entry of every member's tail; a class is named by the id
-    of its form.  Returns (case counts, pairs (x, y) left for the full
+    whose c_A * c_B cross pairs are perp_multiple.  A class is named by the
+    id of its form.  Each distinct tail takes one form (none with
+    canonical) and so does each adjoint form tail not among them: none in
+    a full scan.  Returns (case counts, pairs (x, y) left for the full
     classifier, x < y)."""
+    order = tower.order
+    forms = {tid: tid if canonical else _tail_form(tower, tid)
+             for tid in dict.fromkeys(pid // order for pid in ids)}
+    adjoints: Dict[int, int] = {}
+    for f in dict.fromkeys(forms.values()):
+        a = poly_to_id(LinearizedPolynomial(tower, _adjoint_coeffs(
+            tower, _id_coeffs(tower, f * order)))) // order
+        adjoints[f] = forms[a] if a in forms else _tail_form(tower, a)
     cls: List[int] = []
     classes: Dict[int, int] = {}
     adj_ids: List[int] = []
     for pid in ids:
         tid, c0 = divmod(pid, order)
-        form, adj = forms[tid]
-        k = classes.setdefault(c0 + form * order, len(classes))
+        k = classes.setdefault(c0 + forms[tid] * order, len(classes))
         if k == len(adj_ids):
-            adj_ids.append(c0 + adj * order)
+            adj_ids.append(c0 + adjoints[forms[tid]] * order)
         cls.append(k)
-    sizes = [0] * len(classes)
-    for k in cls:
-        sizes[k] += 1
+    sizes = Counter(cls)
     adj = [classes.get(a) for a in adj_ids]
     # the adjoint map is an involution on the classes, so each related
     # pair of classes is met once with a > k
     related = [(k, a) for k, a in enumerate(adj) if a is not None and a > k]
-    cases = {"multiple": sum(c * (c - 1) // 2 for c in sizes),
+    cases = {"multiple": sum(c * (c - 1) // 2 for c in sizes.values()),
              "perp_multiple": sum(sizes[k] * sizes[a] for k, a in related)}
     m = len(ids)
     pending = [] if sum(cases.values()) == m * (m - 1) // 2 else [
@@ -634,51 +617,80 @@ def _twist_classes(ids: Sequence[int], order: int,
     return {k: v for k, v in cases.items() if v}, pending
 
 
+def _classify_bucket(tower: FieldTower, ids: Sequence[int], paranoid: bool,
+                     canonical: bool):
+    """(case counts, anomalies (x, y, reason) by member position,
+    set_linearity or None) of the bucket with members ids."""
+    cases: Dict[str, int] = {}
+    anomalies: List[Tuple[int, int, str]] = []
+    pending: List[Tuple[int, int]] = []
+    if paranoid:
+        pending = [(x, y) for x in range(len(ids))
+                   for y in range(x + 1, len(ids))]
+    elif len(ids) > 1:
+        # scalar and perp pairs are exactly the twist-orbit matches, so
+        # the twist classes settle them without the quadratic
+        # diagonal-similarity sweep
+        cases, pending = _twist_classes(tower, ids, canonical)
+    need = range(len(ids)) if paranoid else {k for xy in pending for k in xy}
+    polys = {x: poly_from_id(tower, ids[x]) for x in need}
+    if pending:
+        mats = {x: DicksonMatrix.from_poly(f) for x, f in polys.items()}
+        for x, y in pending:
+            matched, wits = _classify_core(polys[x], polys[y],
+                                           mats[x], mats[y], False, None)
+            case = matched[0] if matched else "unknown"
+            cases[case] = cases.get(case, 0) + 1
+            if case == "unknown":
+                anomalies.append((x, y, "unclassified pair"))
+            elif paranoid:
+                verdict = PairVerdict(case, tuple(matched),
+                                      wits.get(case, {}), ())
+                if not replay_verdict(polys[x], polys[y], verdict):
+                    anomalies.append((x, y, f"replay of case {case} failed"))
+    if paranoid and len(ids) > 1:
+        base = linear_set(graph_subspace(polys[0])).point_set()
+        for k in range(1, len(ids)):
+            pts = linear_set(graph_subspace(polys[k])).point_set()
+            if pts != base:
+                anomalies.append((0, k, "point sets differ inside a bucket"))
+    lin = set_linearity(graph_subspace(poly_from_id(tower, ids[0]))) \
+        if tower.order <= LINEARITY_CHECK_ORDER else None
+    return cases, anomalies, lin
+
+
 def _classify_worker(args):
-    descriptor, items, paranoid, forms = args
+    """(key, cases, anomalies (id, id, reason), set_linearity) per item.
+    (x, y) -> (x, y + gamma*x) maps the graph of f to that of f + gamma*x,
+    commuting with the twist and the adjoint, and bucket members share a_0,
+    so buckets with equal member tails have equal results: outside
+    paranoid, a later one takes the first's, anomalies moved to its ids."""
+    descriptor, items, paranoid, canonical = args
     tower = build_tower(*descriptor)
+    done: Dict[Tuple[int, ...], tuple] = {}
     results = []
     for key, ids in items:
-        cases: Dict[str, int] = {}
-        anomalies: List[Tuple[int, int, str]] = []
-        pending: List[Tuple[int, int]] = []
-        if paranoid:
-            pending = [(x, y) for x in range(len(ids))
-                       for y in range(x + 1, len(ids))]
-        elif len(ids) > 1:
-            # scalar and perp pairs are exactly the twist-orbit matches, so
-            # the twist classes settle them without the quadratic
-            # diagonal-similarity sweep
-            cases, pending = _twist_classes(ids, tower.order, forms)
-        need = range(len(ids)) if paranoid else {k for xy in pending for k in xy}
-        polys = {x: poly_from_id(tower, ids[x]) for x in need}
-        if pending:
-            mats = {x: DicksonMatrix.from_poly(f) for x, f in polys.items()}
-            for x, y in pending:
-                matched, wits = _classify_core(polys[x], polys[y],
-                                               mats[x], mats[y], False, None)
-                case = matched[0] if matched else "unknown"
-                cases[case] = cases.get(case, 0) + 1
-                if case == "unknown":
-                    anomalies.append((ids[x], ids[y], "unclassified pair"))
-                elif paranoid:
-                    verdict = PairVerdict(case, tuple(matched),
-                                          wits.get(case, {}), ())
-                    if not replay_verdict(polys[x], polys[y], verdict):
-                        anomalies.append((ids[x], ids[y],
-                                          f"replay of case {case} failed"))
-        if paranoid and len(ids) > 1:
-            base = linear_set(graph_subspace(polys[0])).point_set()
-            for k in range(1, len(ids)):
-                pts = linear_set(graph_subspace(polys[k])).point_set()
-                if pts != base:
-                    anomalies.append((ids[0], ids[k],
-                                      "point sets differ inside a bucket"))
-        lin = None
-        if tower.order <= LINEARITY_CHECK_ORDER:
-            lin = set_linearity(graph_subspace(poly_from_id(tower, ids[0])))
-        results.append((key, cases, anomalies, lin))
+        tails = tuple(pid // tower.order for pid in ids)
+        if paranoid or tails not in done:
+            done[tails] = _classify_bucket(tower, ids, paranoid, canonical)
+        cases, anomalies, lin = done[tails]
+        results.append((key, cases, [(ids[x], ids[y], why)
+                                     for x, y, why in anomalies], lin))
     return results
+
+
+def _classify_chunks(items: Sequence[Tuple[str, List[int]]], order: int):
+    """Items sorted (stably) by first member tail, cut where that tail
+    changes once a chunk holds CLASSIFY_CHUNK items: each translate class
+    lands in one chunk, and the chunks depend on the items alone."""
+    chunks: List[List[Tuple[str, List[int]]]] = []
+    for item in sorted(items, key=lambda it: it[1][0] // order):
+        last = chunks[-1] if chunks else []
+        if not last or (len(last) >= CLASSIFY_CHUNK
+                        and item[1][0] // order != last[-1][1][0] // order):
+            chunks.append([])
+        chunks[-1].append(item)
+    return chunks
 
 
 class BucketReport:
@@ -813,15 +825,14 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
     space is cut into fixed chunks and merged in order.
     """
     tower = build_tower(p, e, n, modulus)
-    descriptor = (p, e, n, tower.modulus)
     total = tower.order ** n
     if sample is not None and sample < 1:
         raise BadParametersError(f"sample must be at least 1, got {sample}")
+    if sample is not None and total >= 1 << 63:  # beyond random.sample
+        raise BadParametersError(f"sample needs under 2^63 ids, got {total}")
 
-    id_list = None
-    if sample is not None:
-        rng = random.Random(0)
-        id_list = sorted(rng.sample(range(total), min(sample, total)))
+    id_list = None if sample is None else sorted(random.Random(0).sample(
+        range(total), min(sample, total)))
     visited, groups = _scan_buckets(tower, budget, id_list, modulo_twist,
                                     workers, progress)
     bucket_members, collisions = _name_buckets(tower, groups)
@@ -835,49 +846,36 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
     buckets: Dict[str, dict] = {key: {"size": len(ids), "cases": {}}
                                 for key, ids in bucket_members}
 
-    if tower.order <= LINEARITY_CHECK_ORDER:
-        work_items = list(bucket_members)
-    else:
-        work_items = [(key, ids) for key, ids in bucket_members
-                      if len(ids) > 1]
-    # the twist forms of every tail in a multi-member bucket, once per
-    # search; each chunk carries the entries of its own members
-    order = tower.order
-    tids = set() if paranoid else {pid // order for _, ids in bucket_members
-                                   if len(ids) > 1 for pid in ids}
-    forms = _tail_forms(tower, tids, modulo_twist)
-    chunks = [work_items[k:k + CLASSIFY_CHUNK]
-              for k in range(0, len(work_items), CLASSIFY_CHUNK)]
-    cls_args = ((descriptor, chunk, paranoid,
-                 {} if paranoid else {pid // order: forms[pid // order]
-                                      for _, ids in chunk if len(ids) > 1
-                                      for pid in ids})
+    work_items = [(key, ids) for key, ids in bucket_members
+                  if len(ids) > 1 or tower.order <= LINEARITY_CHECK_ORDER]
+    chunks = _classify_chunks(work_items, tower.order)
+    cls_args = (((p, e, n, tower.modulus), chunk, paranoid, modulo_twist)
                 for chunk in chunks)
+    results = {key: rest for res in _run_chunks(_classify_worker, cls_args,
+                                                len(chunks), workers)
+               for key, *rest in res}
     histogram: Dict[str, int] = {}
     anomalies: List[dict] = []
     linearity_flags: List[dict] = []
     n_is_prime = len(_divisors(n)) == 2
-    member_map = dict(bucket_members)
-    for res in _run_chunks(_classify_worker, cls_args, len(chunks), workers):
-        for key, cases, bucket_anoms, lin in res:
-            buckets[key]["cases"] = dict(sorted(cases.items()))
-            for case, count in cases.items():
-                histogram[case] = histogram.get(case, 0) + count
-                if n_is_prime and case.startswith("generalized"):
-                    alerts.append(
-                        f"bucket {key}: case {case} at prime n={n} "
-                        "(bug or counterexample)")
-            for (ida, idb, why) in bucket_anoms:
-                anomalies.append({"bucket": key, "pair": [ida, idb],
-                                  "reason": why})
-            if lin is not None:
-                dlin, exact = lin
-                buckets[key]["set_linearity"] = dlin
-                buckets[key]["linearity_exact"] = exact
-                if dlin > 1 or not exact:
-                    linearity_flags.append(
-                        {"bucket": key, "rep": member_map[key][0],
-                         "set_linearity": dlin, "exact": exact})
+    for key, ids in work_items:
+        cases, bucket_anoms, lin = results[key]
+        buckets[key]["cases"] = dict(sorted(cases.items()))
+        for case, count in cases.items():
+            histogram[case] = histogram.get(case, 0) + count
+            if n_is_prime and case.startswith("generalized"):
+                alerts.append(f"bucket {key}: case {case} at prime n={n} "
+                              "(bug or counterexample)")
+        anomalies += [{"bucket": key, "pair": [ida, idb], "reason": why}
+                      for ida, idb, why in bucket_anoms]
+        if lin is not None:
+            dlin, exact = lin
+            buckets[key]["set_linearity"] = dlin
+            buckets[key]["linearity_exact"] = exact
+            if dlin > 1 or not exact:
+                linearity_flags.append(
+                    {"bucket": key, "rep": ids[0],
+                     "set_linearity": dlin, "exact": exact})
 
     if len(buckets) <= MEMBER_DUMP_LIMIT:
         for key, ids in bucket_members:
@@ -933,9 +931,9 @@ def verify_club_uniqueness(p: int, e: int, n: int,
                   if is_club_coeffs(tower, _id_coeffs(tower, tid * order))}
     clubs = [ids for ids in shared
              if any(pid // order in club_tails for pid in ids)]
-    forms = _tail_forms(tower, {pid // order for ids in clubs for pid in ids},
-                        False)
+    forms = {tid: _tail_form(tower, tid)
+             for tid in {pid // order for ids in clubs for pid in ids}}
     # one twist-canonical form per bucket: b_i = a_i * lambda^(q^i - 1),
     # the relation diag_similar tests
-    return all(len({pid % order + forms[pid // order][0] * order
+    return all(len({pid % order + forms[pid // order] * order
                     for pid in ids}) == 1 for ids in clubs)

@@ -483,18 +483,12 @@ def test_twist_classes_settle_the_pairs_of_the_per_pair_forms():
                 else:
                     pending.append((x, y))
         ids = [poly_to_id(f) for f in polys]
-        forms = classify._tail_forms(t, {pid // t.order for pid in ids},
-                                     False)
-        assert classify._twist_classes(ids, t.order, forms) == \
-            (cases, pending)
+        assert classify._twist_classes(t, ids, False) == (cases, pending)
         # members that are already canonical are their own forms
         reps = [poly_to_id(LinearizedPolynomial(t, c))
                 for c in dict.fromkeys(canon)]
-        tids = {pid // t.order for pid in reps}
-        assert classify._twist_classes(
-            reps, t.order, classify._tail_forms(t, tids, True)) == \
-            classify._twist_classes(
-                reps, t.order, classify._tail_forms(t, tids, False))
+        assert classify._twist_classes(t, reps, True) == \
+            classify._twist_classes(t, reps, False)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -657,8 +651,13 @@ def test_set_linearity_settles_every_2_1_4_bucket_by_counting(monkeypatch):
                         counted("lin", classify.set_linearity))
     monkeypatch.setattr(linset, "_search_fqd_subspace",
                         counted("search", linset._search_fqd_subspace))
+    # translates along a_0 share their member tails and take one call: 166
+    # for the 2,656 buckets
     rep = bucket_search(2, 1, 4)
-    assert calls == {"lin": len(rep.buckets), "search": 0}
+    tails = {tuple(pid // 16 for pid in b["members"])
+             for b in rep.buckets.values()}
+    assert (len(tails), len(rep.buckets)) == (166, 2656)
+    assert calls == {"lin": len(tails), "search": 0}
     assert all(b["linearity_exact"] for b in rep.buckets.values())
 
 
@@ -764,6 +763,59 @@ def test_buckets_translate_along_a0(pen, modulo_twist):
                               for pid in members)): b
                  for members, b in rest.items()}
         assert moved == rest
+
+
+@pytest.mark.parametrize("pen, modulo_twist, sample", [
+    ((2, 1, 4), False, None), ((3, 1, 3), False, None),
+    ((2, 1, 4), True, None), ((2, 1, 4), False, 20000)])
+def test_sharing_results_among_translates_changes_nothing(monkeypatch, pen,
+                                                          modulo_twist,
+                                                          sample):
+    # _classify_worker over the tail-sorted chunks, where a bucket whose
+    # member tails repeat an earlier bucket's takes that bucket's results,
+    # against one bucket per call.  One pair per bucket is forced to
+    # "unknown", so every multi-member bucket has an anomaly on its own ids.
+    # A sample has buckets that share their first tail but not all tails.
+    t = build_tower(*pen)
+    ids = None if sample is None else sorted(
+        random.Random(0).sample(range(t.order ** t.n), sample))
+    _, groups = classify._scan_buckets(t, None, ids, modulo_twist, 1, None)
+    items, _ = classify._name_buckets(t, groups)
+    chunks = classify._classify_chunks(items, t.order)
+    assert sorted(item for chunk in chunks for item in chunk) == items
+    first_tails = [{ids[0] // t.order for _, ids in chunk} for chunk in chunks]
+    assert sum(map(len, first_tails)) == len(set().union(*first_tails))
+    twist_classes, lin_calls = classify._twist_classes, []
+
+    def one_left(tower, ids, canonical):
+        cases, pending = twist_classes(tower, ids, canonical)
+        return cases, pending + [(0, len(ids) - 1)]
+
+    def counted_set_linearity(sub):
+        lin_calls.append(sub)
+        return linset.set_linearity(sub)
+
+    monkeypatch.setattr(classify, "_twist_classes", one_left)
+    monkeypatch.setattr(classify, "_classify_core", lambda *args: ([], {}))
+    monkeypatch.setattr(classify, "set_linearity", counted_set_linearity)
+    descriptor = (*pen, t.modulus)
+
+    def run(chunks, paranoid):
+        lin_calls.clear()
+        return {key: rest for chunk in chunks for key, *rest in
+                classify._classify_worker((descriptor, chunk, paranoid,
+                                           modulo_twist))}
+
+    shared = run(chunks, False)
+    tails = {tuple(pid // t.order for pid in ids) for _, ids in items}
+    assert len(lin_calls) == len(tails) < len(items)
+    assert shared == run([[item] for item in items], False)
+    assert sum(len(anoms) for _, anoms, _ in shared.values()) == \
+        sum(len(ids) > 1 for _, ids in items) > 0
+    # paranoid shares nothing: one set_linearity per bucket
+    shared = run(chunks[:1], True)
+    assert len(lin_calls) == len(chunks[0])
+    assert shared == run([[item] for item in chunks[0]], True)
 
 
 @pytest.mark.parametrize("pen", [(2, 1, 3), (3, 1, 3)])
@@ -884,6 +936,12 @@ def test_bucket_search_rejects_bad_workers_and_sample():
     # a sample is honoured even when the whole space fits the budget
     rep = bucket_search(2, 1, 3, sample=5)
     assert rep.params["visited"] == 5 and rep.params["sample"] == 5
+    # random.sample draws only from fewer than 2^63 ids: (2,7,3) has 2^63,
+    # (2,1,8) 2^64 and (2,1,13) 2^169; (2,5,3), with 2^45, still draws
+    for pen in ((2, 7, 3), (2, 1, 8), (2, 1, 13)):
+        with pytest.raises(BadParametersError, match="2\\^63"):
+            bucket_search(*pen, sample=300)
+    assert bucket_search(2, 5, 3, sample=5).params["visited"] == 5
 
 
 def test_bucket_search_progress_and_csv(monkeypatch):

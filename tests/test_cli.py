@@ -111,6 +111,8 @@ def test_field_info_budget_env(capsys, monkeypatch):
     ["search", "--workers", "-3"],
     ["verify", "--workers", "0"],
     ["search", "--sample", "-1"],
+    ["search", "--n", "8", "--sample", "300"],  # 2^64 ids to draw from
+    ["search", "--n", "13", "--sample", "3"],
     ["field-info", "--e", "0"],
     ["field-info", "--n", "0"],
     ["field-info", "--modulus", "1,1"],
