@@ -674,8 +674,8 @@ def _classify_worker(args):
         if paranoid or tails not in done:
             done[tails] = _classify_bucket(tower, ids, paranoid, canonical)
         cases, anomalies, lin = done[tails]
-        results.append((key, cases, [(ids[x], ids[y], why)
-                                     for x, y, why in anomalies], lin))
+        results.append((key, cases, tuple((ids[x], ids[y], why)
+                                          for x, y, why in anomalies), lin))
     return results
 
 
@@ -851,15 +851,16 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
     chunks = _classify_chunks(work_items, tower.order)
     cls_args = (((p, e, n, tower.modulus), chunk, paranoid, modulo_twist)
                 for chunk in chunks)
-    results = {key: rest for res in _run_chunks(_classify_worker, cls_args,
-                                                len(chunks), workers)
-               for key, *rest in res}
+    # chunks run in tail order; the report below follows key order
+    results = {r[0]: r for res in _run_chunks(_classify_worker, cls_args,
+                                              len(chunks), workers)
+               for r in res}
     histogram: Dict[str, int] = {}
     anomalies: List[dict] = []
     linearity_flags: List[dict] = []
     n_is_prime = len(_divisors(n)) == 2
     for key, ids in work_items:
-        cases, bucket_anoms, lin = results[key]
+        _, cases, bucket_anoms, lin = results[key]
         buckets[key]["cases"] = dict(sorted(cases.items()))
         for case, count in cases.items():
             histogram[case] = histogram.get(case, 0) + count
