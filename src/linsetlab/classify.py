@@ -534,34 +534,52 @@ def _tail_filtered(tower: FieldTower, tail_id: int, modulo_twist: bool,
 
 
 def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
-    """Exact fingerprint -> ascending ids of one chunk's kept candidates.
-    Ids are walked in runs that share a tail, so the filters run once per
-    tail and the ids of a dropped tail are skipped without a step each.
-    When a run holds more than one id, the id (c0, tail) is fingerprinted
-    as the shift f + c0*x of its tail's zero-diagonal matrix, so its
-    fingerprint expands from the minors the tail computes once; a lone id
-    (as in most sampled scans) takes the determinant route on its own
-    matrix, which costs it less."""
+    """Exact fingerprint -> ids of one chunk's kept candidates (the parent
+    sorts each bucket after the merge).  The id (c0, tail) is fingerprinted
+    as the shift f + c0*x of its tail's zero-diagonal matrix, expanded from
+    minors computed once.  A full scan (ids None) walks twist orbits: the
+    twist b_i = a_i*lam^(q^i - 1) conjugates the Dickson matrix by
+    diag(lam, lam^q, ...), so all tails of an orbit share their principal
+    minors.  Each twist-canonical tail of the chunk's range that passes the
+    gcd filter (a filter on the support, so on whole orbits) builds one
+    matrix that keys every id of its orbit, most outside the range; under
+    modulo_twist the orbit is the form alone.  A sampled scan walks its ids
+    in runs that share a tail, filtering once per tail; a lone id takes
+    the determinant route on its own matrix, cheaper than a shift table."""
     descriptor, lo, hi, ids, modulo_twist = args
     tower = build_tower(*descriptor)
-    twist_data = _twist_tables(tower) if modulo_twist else None
     order = tower.order
+    twist_data = _twist_tables(tower) if modulo_twist or ids is None else None
     groups: Dict[Tuple[int, ...], List[int]] = {}
-    pids = ids if ids is not None else range(lo, hi)
+    if ids is None:
+        for tid in range(lo // order, hi // order):
+            tail = _tail_filtered(tower, tid, True, twist_data)
+            if tail is None:
+                continue
+            coeffs = [0] + tail
+            base = DicksonMatrix(tower, coeffs)
+            members = [tid * order] if modulo_twist else dict.fromkeys(
+                poly_to_id(LinearizedPolynomial(
+                    tower, _twist_coeffs(tower, coeffs, lam)))
+                for lam in range(1, order))
+            for mid in members:
+                for c0 in range(order):
+                    groups.setdefault(base.fingerprint(c0), []).append(mid + c0)
+        return groups
     k = 0
-    while k < len(pids):
-        tid = pids[k] // order
-        end = bisect.bisect_left(pids, (tid + 1) * order, k)
+    while k < len(ids):
+        tid = ids[k] // order
+        end = bisect.bisect_left(ids, (tid + 1) * order, k)
         tail = _tail_filtered(tower, tid, modulo_twist, twist_data)
         if tail is not None:
             if end - k > 1:
                 base = DicksonMatrix(tower, [0] + tail)
-                for pid in pids[k:end]:
+                for pid in ids[k:end]:
                     groups.setdefault(base.fingerprint(pid % order),
                                       []).append(pid)
             else:
-                fp = DicksonMatrix(tower, [pids[k] % order] + tail).fingerprint()
-                groups.setdefault(fp, []).append(pids[k])
+                fp = DicksonMatrix(tower, [ids[k] % order] + tail).fingerprint()
+                groups.setdefault(fp, []).append(ids[k])
         k = end
     return groups
 
@@ -790,6 +808,8 @@ def _scan_buckets(tower: FieldTower, budget: Optional[int],
         if progress is not None and done >= next_tick:
             progress(done, visited)
             next_tick += PROGRESS_EVERY
+    for ids in groups.values():  # a full scan's orbits cross the chunks
+        ids.sort()
     return visited, groups
 
 

@@ -149,9 +149,7 @@ def canonical_modulus(p: int, m: int) -> Tuple[int, ...]:
     """First monic irreducible of degree m over F_p in low-to-high-degree
     lexicographic order of coefficients, restricted to nonzero constant term
     (which excludes only x itself, at degree 1)."""
-    for tail in itertools.product(range(p), repeat=m):
-        if tail[0] == 0:
-            continue
+    for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
         poly = list(tail) + [1]
         if _poly_is_irreducible(poly, p):
             return tuple(poly)

@@ -509,20 +509,46 @@ def test_twist_forms_depend_on_the_tail_only(data, pen):
 
 
 def test_full_search_takes_one_twist_form_per_tail(monkeypatch):
-    # bucket_search takes each distinct tail's form once, before the
-    # classify phase; the adjoint forms of a full scan are all among them
+    # the classify phase takes each distinct tail's form once; the adjoint
+    # forms of a full scan are all among them.  The scan's twist filter
+    # takes a form only for a kept tail whose leading coefficient is the
+    # minimum of its residue class: 302 of the 4,080 kept tails at (2,1,4)
     t = build_tower(2, 1, 4)
-    form, calls = classify._twist_canonical_form, [0]
+    form = classify._twist_canonical_form
+    calls, inside = {"_scan_worker": 0, "_classify_worker": 0}, [None]
 
     def counting_form(*args):
-        calls[0] += 1
+        if inside[0] is not None:
+            calls[inside[0]] += 1
         return form(*args)
 
+    def tracked(name):
+        worker = getattr(classify, name)
+
+        def run(args):
+            inside[0] = name
+            try:
+                return worker(args)
+            finally:
+                inside[0] = None
+        return run
+
     monkeypatch.setattr(classify, "_twist_canonical_form", counting_form)
+    for name in calls:
+        monkeypatch.setattr(classify, name, tracked(name))
     rep = bucket_search(2, 1, 4)
     tails = {pid // t.order for b in rep.buckets.values()
              for pid in b["members"]}
-    assert 0 < calls[0] <= len(tails)
+    assert 0 < calls["_classify_worker"] <= len(tails)
+    mins = _twist_tables(t)[1]
+    leading = 0
+    for tid in tails:
+        cs = poly_from_id(t, tid * t.order).coeffs
+        i0 = next(i for i in range(1, t.n) if cs[i])
+        res = mins[i0]
+        leading += cs[i0] == res[t._log[cs[i0]] % len(res)]
+    assert len(tails) == 4080 and leading == 302
+    assert calls["_scan_worker"] == leading
 
 
 # -- bucket search ---------------------------------------------------------------
@@ -818,11 +844,14 @@ def test_sharing_results_among_translates_changes_nothing(monkeypatch, pen,
     assert shared == run([[item] for item in chunks[0]], True)
 
 
-@pytest.mark.parametrize("pen", [(2, 1, 3), (3, 1, 3)])
-def test_scan_takes_one_det_per_necklace_per_kept_tail(monkeypatch, pen):
-    # every id of a tail is a diagonal shift of the tail's own matrix, so
-    # the scan's determinants are the tail fingerprints' alone: 3 necklaces
-    # at n = 3 for each tail that passes the gcd filter
+@pytest.mark.parametrize("pen", [(2, 1, 3), (3, 1, 3), (2, 1, 4)])
+def test_scan_takes_one_det_per_necklace_per_kept_twist_orbit(monkeypatch, pen):
+    # every id is a diagonal shift of its tail's matrix, and twisting the
+    # tail conjugates that matrix by a diagonal one, so the scan's
+    # determinants are one fingerprint's per twist orbit of the tails that
+    # pass the gcd filter: one per necklace (3 at n = 3, 5 at n = 4)
+    necklaces, orbits = {(2, 1, 3): (3, 9), (3, 1, 3): (3, 56),
+                         (2, 1, 4): (5, 272)}[pen]
     t = build_tower(*pen)
     scan_worker, det = classify._scan_worker, linalg.det
     inside, calls = [False], [0]
@@ -841,9 +870,49 @@ def test_scan_takes_one_det_per_necklace_per_kept_tail(monkeypatch, pen):
     monkeypatch.setattr(linalg, "det", counting_det)
     monkeypatch.setattr(classify, "_scan_worker", tracked_scan)
     bucket_search(*pen)
-    kept = sum(poly_from_id(t, tid * t.order).linearity_gcd() == 1
-               for tid in range(t.order ** (t.n - 1)))
-    assert kept > 0 and calls[0] == 3 * kept
+    kept = [f for f in (poly_from_id(t, tid * t.order)
+                        for tid in range(t.order ** (t.n - 1)))
+            if f.linearity_gcd() == 1]
+    found = {min(poly_to_id(f.twist(lam)) for lam in range(1, t.order))
+             for f in kept}
+    assert len(found) == orbits < len(kept)
+    assert calls[0] == necklaces * orbits
+
+
+@pytest.mark.parametrize("pen, modulo_twist", [
+    ((2, 1, 3), False), ((3, 1, 3), False), ((2, 2, 2), False),
+    ((2, 1, 4), False), ((2, 1, 4), True)])
+def test_full_scan_chunks_key_each_kept_id_once(monkeypatch, pen,
+                                                modulo_twist):
+    # a full scan's chunk emits the ids of whole twist orbits, most outside
+    # its own range: over the real chunk list every kept id must come out
+    # exactly once, under the key its own matrix gives by the determinant
+    # route, and the merged buckets must list their ids in ascending order
+    t = build_tower(*pen)
+    scan_worker, results = classify._scan_worker, []
+
+    def recording_scan(args):
+        res = scan_worker(args)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(classify, "_scan_worker", recording_scan)
+    _, groups = classify._scan_buckets(t, None, None, modulo_twist, 1, None)
+    assert len(results) > 1 or t.order ** t.n <= classify.SCAN_CHUNK
+    tables = _twist_tables(t)
+    kept = [pid for pid in range(t.order ** t.n)
+            if classify._tail_filtered(t, pid // t.order, modulo_twist,
+                                       tables) is not None]
+    emitted = sorted(pid for res in results for ids in res.values()
+                     for pid in ids)
+    assert emitted == kept
+    for res in results:
+        for fp, ids in res.items():
+            for pid in ids:
+                f = poly_from_id(t, pid)
+                assert DicksonMatrix.from_poly(f).fingerprint() == fp
+    assert all(ids == sorted(set(ids)) for ids in groups.values())
+    assert sum(map(len, groups.values())) == len(kept)
 
 
 def test_sampled_scan_expands_only_tails_shared_by_several_ids(monkeypatch):

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from linsetlab import gf, linalg
+from linsetlab.classify import bucket_search
 from linsetlab.errors import (
     AmbientMismatchError,
     BadParametersError,
@@ -102,6 +103,26 @@ CANONICAL_CASES = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
 @pytest.mark.parametrize("p,m", CANONICAL_CASES)
 def test_canonical_modulus_matches_bruteforce_oracle(p, m):
     assert gf.canonical_modulus(p, m) == oracle_first_irreducible(p, m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_canonical_modulus_walks_the_same_order_from_constant_term_one(p):
+    # the search starts at constant term 1 instead of stepping over the
+    # p^(m-1) tuples with constant term 0, and finds the same polynomial
+    def one_at_a_time(p, m):
+        for tail in itertools.product(range(p), repeat=m):
+            if tail[0] and gf._poly_is_irreducible(list(tail) + [1], p):
+                return tuple(tail) + (1,)
+
+    for m in range(1, 7):
+        assert gf.canonical_modulus(p, m) == one_at_a_time(p, m)
+
+
+def test_canonical_modulus_of_a_large_degree_is_quick():
+    # (2,15,2) needs a degree-30 modulus, 2^29 tuples past constant term 0
+    rep = bucket_search(2, 15, 2, sample=5)
+    assert rep.params["visited"] == 5
+    assert gf.build_tower(2, 15, 2).modulus == gf.canonical_modulus(2, 30)
 
 
 def test_degree_one_canonical_modulus_is_x_plus_one():
