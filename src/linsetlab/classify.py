@@ -533,45 +533,56 @@ def _tail_filtered(tower: FieldTower, tail_id: int, modulo_twist: bool,
     return tail
 
 
-def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
-    """Exact fingerprint -> ids of one chunk's kept candidates (the parent
-    sorts each bucket after the merge).  The id (c0, tail) is fingerprinted
-    as the shift f + c0*x of its tail's zero-diagonal matrix, expanded from
-    minors computed once.  A full scan (ids None) walks twist orbits: the
-    twist b_i = a_i*lam^(q^i - 1) conjugates the Dickson matrix by
-    diag(lam, lam^q, ...), so all tails of an orbit share their principal
-    minors.  Each twist-canonical tail of the chunk's range that passes the
-    gcd filter (a filter on the support, so on whole orbits) builds one
-    matrix that keys every id of its orbit, most outside the range; under
-    modulo_twist the orbit is the form alone.  A sampled scan walks its ids
-    in runs that share a tail, filtering once per tail; a lone id takes
-    the determinant route on its own matrix, cheaper than a shift table."""
+def _scan_worker(args):
+    """(fingerprint -> ids of one chunk's kept candidates, unsorted; member
+    tail id -> tail id of its twist form).  The id (c0, tail) is keyed as
+    the shift f + c0*x of its tail's zero-diagonal matrix.  A full scan
+    (ids None) walks twist orbits: b_i = a_i*lam^(q^i - 1) conjugates the
+    Dickson matrix by diag(lam, lam^q, ...).  Each twist-canonical tail of
+    the range passing the gcd filter (on the support, so on whole orbits)
+    keys every id of its orbit, most outside the range, and is each
+    member's form; for lam = g^L, log b_i = log a_i + L*(q^i - 1), and the
+    filter leaves F_q^* as stabilizer, so L < (q^n - 1)/(q - 1) meets each
+    member once (under modulo_twist the orbit is the form alone).  A
+    sampled scan filters once per run of ids sharing a tail; a lone id
+    takes the determinant route, cheaper than a shift table."""
     descriptor, lo, hi, ids, modulo_twist = args
     tower = build_tower(*descriptor)
     order = tower.order
     twist_data = _twist_tables(tower) if modulo_twist or ids is None else None
     groups: Dict[Tuple[int, ...], List[int]] = {}
+    forms: Dict[int, int] = {}
     if ids is None:
+        exp, log, onum = tower._exp, tower._log, tower._onum
+        walk = range(onum // (tower.q - 1))
         for tid in range(lo // order, hi // order):
             tail = _tail_filtered(tower, tid, True, twist_data)
             if tail is None:
                 continue
-            coeffs = [0] + tail
-            base = DicksonMatrix(tower, coeffs)
-            members = [tid * order] if modulo_twist else dict.fromkeys(
-                poly_to_id(LinearizedPolynomial(
-                    tower, _twist_coeffs(tower, coeffs, lam)))
-                for lam in range(1, order))
-            for mid in members:
+            base = DicksonMatrix(tower, [0] + tail)
+            if modulo_twist:
+                members = [tid]
+            else:
+                members = [0] * len(walk)
+                for i, a in enumerate(tail, 1):
+                    if a:
+                        la, step, w = log[a], tower.q ** i - 1, order ** (i - 1)
+                        members = [m + w * exp[(la + L * step) % onum]
+                                   for m, L in zip(members, walk)]
+            for m in members:
+                forms[m] = tid
                 for c0 in range(order):
-                    groups.setdefault(base.fingerprint(c0), []).append(mid + c0)
-        return groups
+                    groups.setdefault(base.fingerprint(c0),
+                                      []).append(m * order + c0)
+        return groups, forms
     k = 0
     while k < len(ids):
         tid = ids[k] // order
         end = bisect.bisect_left(ids, (tid + 1) * order, k)
         tail = _tail_filtered(tower, tid, modulo_twist, twist_data)
         if tail is not None:
+            if modulo_twist:
+                forms[tid] = tid
             if end - k > 1:
                 base = DicksonMatrix(tower, [0] + tail)
                 for pid in ids[k:end]:
@@ -581,45 +592,50 @@ def _scan_worker(args) -> Dict[Tuple[int, ...], List[int]]:
                 fp = DicksonMatrix(tower, [ids[k] % order] + tail).fingerprint()
                 groups.setdefault(fp, []).append(ids[k])
         k = end
-    return groups
+    return groups, forms
 
 
-def _tail_form(tower: FieldTower, tid: int) -> int:
-    """Tail id of the twist form of (0,) + the tail of tail id tid; a_0 is
-    fixed by every twist and by the adjoint, so the form of (c0,) + tail
+def _tail_form(tower: FieldTower, tid: int, forms: Dict[int, int]) -> int:
+    """Tail id of the twist form of (0,) + the tail of tail id tid, read
+    from forms (tail id -> form tail id) or computed and added to it; a_0
+    is fixed by every twist and by the adjoint, so the form of (c0,) + tail
     is (c0,) + that form."""
-    form = _twist_canonical_form(tower, _id_coeffs(tower, tid * tower.order),
-                                 _twist_tables(tower))
-    return poly_to_id(LinearizedPolynomial(tower, form)) // tower.order
+    if tid not in forms:
+        form = _twist_canonical_form(tower, _id_coeffs(
+            tower, tid * tower.order), _twist_tables(tower))
+        forms[tid] = poly_to_id(LinearizedPolynomial(tower, form)) // tower.order
+    return forms[tid]
 
 
-def _twist_classes(tower: FieldTower, ids: Sequence[int], canonical: bool):
+def _twist_classes(tower: FieldTower, ids: Sequence[int],
+                   forms: Dict[int, int]):
     """Settle the scalar and perp pairs of one bucket by twist class.
 
     Members (ids) with one canonical form are twists of one another, so
     each class gives C(c, 2) multiple pairs; the adjoint of a twist is a
     twist of the adjoint, so one adjoint form per class finds the classes
     whose c_A * c_B cross pairs are perp_multiple.  A class is named by the
-    id of its form.  Each distinct tail takes one form (none with
-    canonical) and so does each adjoint form tail not among them: none in
-    a full scan.  Returns (case counts, pairs (x, y) left for the full
-    classifier, x < y)."""
+    id of its form.  Forms are read from forms by _tail_form, which
+    computes and adds only the tails it lacks: a full scan hands over
+    every member tail's form, adjoint form tails included (A^T has A's
+    principal minors), so none.  Returns (case counts, pairs (x, y) left
+    for the full classifier, x < y)."""
     order = tower.order
-    forms = {tid: tid if canonical else _tail_form(tower, tid)
-             for tid in dict.fromkeys(pid // order for pid in ids)}
+    form_of = {tid: _tail_form(tower, tid, forms)
+               for tid in dict.fromkeys(pid // order for pid in ids)}
     adjoints: Dict[int, int] = {}
-    for f in dict.fromkeys(forms.values()):
+    for f in dict.fromkeys(form_of.values()):
         a = poly_to_id(LinearizedPolynomial(tower, _adjoint_coeffs(
             tower, _id_coeffs(tower, f * order)))) // order
-        adjoints[f] = forms[a] if a in forms else _tail_form(tower, a)
+        adjoints[f] = _tail_form(tower, a, forms)
     cls: List[int] = []
     classes: Dict[int, int] = {}
     adj_ids: List[int] = []
     for pid in ids:
         tid, c0 = divmod(pid, order)
-        k = classes.setdefault(c0 + forms[tid] * order, len(classes))
+        k = classes.setdefault(c0 + form_of[tid] * order, len(classes))
         if k == len(adj_ids):
-            adj_ids.append(c0 + adjoints[forms[tid]] * order)
+            adj_ids.append(c0 + adjoints[form_of[tid]] * order)
         cls.append(k)
     sizes = Counter(cls)
     adj = [classes.get(a) for a in adj_ids]
@@ -636,7 +652,7 @@ def _twist_classes(tower: FieldTower, ids: Sequence[int], canonical: bool):
 
 
 def _classify_bucket(tower: FieldTower, ids: Sequence[int], paranoid: bool,
-                     canonical: bool):
+                     forms: Dict[int, int]):
     """(case counts, anomalies (x, y, reason) by member position,
     set_linearity or None) of the bucket with members ids."""
     cases: Dict[str, int] = {}
@@ -649,7 +665,7 @@ def _classify_bucket(tower: FieldTower, ids: Sequence[int], paranoid: bool,
         # scalar and perp pairs are exactly the twist-orbit matches, so
         # the twist classes settle them without the quadratic
         # diagonal-similarity sweep
-        cases, pending = _twist_classes(tower, ids, canonical)
+        cases, pending = _twist_classes(tower, ids, forms)
     need = range(len(ids)) if paranoid else {k for xy in pending for k in xy}
     polys = {x: poly_from_id(tower, ids[x]) for x in need}
     if pending:
@@ -683,14 +699,14 @@ def _classify_worker(args):
     commuting with the twist and the adjoint, and bucket members share a_0,
     so buckets with equal member tails have equal results: outside
     paranoid, a later one takes the first's, anomalies moved to its ids."""
-    descriptor, items, paranoid, canonical = args
+    descriptor, items, paranoid, forms = args
     tower = build_tower(*descriptor)
     done: Dict[Tuple[int, ...], tuple] = {}
     results = []
     for key, ids in items:
         tails = tuple(pid // tower.order for pid in ids)
         if paranoid or tails not in done:
-            done[tails] = _classify_bucket(tower, ids, paranoid, canonical)
+            done[tails] = _classify_bucket(tower, ids, paranoid, forms)
         cases, anomalies, lin = done[tails]
         results.append((key, cases, tuple((ids[x], ids[y], why)
                                           for x, y, why in anomalies), lin))
@@ -779,7 +795,8 @@ def _scan_buckets(tower: FieldTower, budget: Optional[int],
                   id_list: Optional[List[int]], modulo_twist: bool,
                   workers: int, progress: Optional[Callable[[int, int], None]]):
     """Scan id_list (every id when None) and bucket the kept candidates by
-    exact fingerprint; returns (visited, {fingerprint: ascending ids})."""
+    exact fingerprint; returns (visited, {fingerprint: ascending ids},
+    {tail id: form tail id} as the chunks hand them over)."""
     if workers < 1:
         raise BadParametersError(f"workers must be at least 1, got {workers}")
     total = tower.order ** tower.n
@@ -799,18 +816,20 @@ def _scan_buckets(tower: FieldTower, budget: Optional[int],
                       for k in range(0, len(id_list), step)]
     visited = total if id_list is None else len(id_list)
     groups: Dict[Tuple[int, ...], List[int]] = {}
+    forms: Dict[int, int] = {}
     next_tick = PROGRESS_EVERY
-    for k, res in enumerate(_run_chunks(_scan_worker, chunk_args,
-                                                len(chunk_args), workers)):
+    for k, (res, res_forms) in enumerate(_run_chunks(
+            _scan_worker, chunk_args, len(chunk_args), workers)):
         for fp, ids in res.items():
             groups.setdefault(fp, []).extend(ids)
+        forms.update(res_forms)
         done = min((k + 1) * step, visited)
         if progress is not None and done >= next_tick:
             progress(done, visited)
             next_tick += PROGRESS_EVERY
     for ids in groups.values():  # a full scan's orbits cross the chunks
         ids.sort()
-    return visited, groups
+    return visited, groups, forms
 
 
 def _name_buckets(tower: FieldTower, groups: Dict[Tuple[int, ...], List[int]]):
@@ -853,8 +872,8 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
 
     id_list = None if sample is None else sorted(random.Random(0).sample(
         range(total), min(sample, total)))
-    visited, groups = _scan_buckets(tower, budget, id_list, modulo_twist,
-                                    workers, progress)
+    visited, groups, forms = _scan_buckets(tower, budget, id_list,
+                                           modulo_twist, workers, progress)
     bucket_members, collisions = _name_buckets(tower, groups)
     alerts: List[str] = []
     if paranoid:  # every name recomputed through the byte route
@@ -869,8 +888,11 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
     work_items = [(key, ids) for key, ids in bucket_members
                   if len(ids) > 1 or tower.order <= LINEARITY_CHECK_ORDER]
     chunks = _classify_chunks(work_items, tower.order)
-    cls_args = (((p, e, n, tower.modulus), chunk, paranoid, modulo_twist)
-                for chunk in chunks)
+    # each chunk carries the forms of its own member tails only
+    cls_args = (((p, e, n, tower.modulus), chunk, paranoid,
+                 {tid: forms[tid] for tid in {pid // tower.order
+                                              for _, ids in chunk for pid in ids}
+                  if tid in forms}) for chunk in chunks)
     # chunks run in tail order; the report below follows key order
     results = {r[0]: r for res in _run_chunks(_classify_worker, cls_args,
                                               len(chunks), workers)
@@ -938,13 +960,15 @@ def verify_club_uniqueness(p: int, e: int, n: int,
                            progress: Optional[Callable[[int, int], None]] = None
                            ) -> bool:
     """Check that every bucket containing a club holds only twist-equivalent
-    members: equal fingerprints force W = lambda U when L_U is a club."""
+    members: equal fingerprints force W = lambda U when L_U is a club.  The
+    members' twist forms are those the full scan hands over."""
     if n < 3:
         raise BadParametersError("club uniqueness needs n >= 3")
     tower = build_tower(p, e, n, modulus)
     # the scan's gcd filter drops only F_(q^d)-linear graphs (d > 1), whose
     # sets have at most (q^n-1)/(q^d-1) < q^(n-1)+1 points, fewer than a club
-    _, groups = _scan_buckets(tower, budget, None, False, workers, progress)
+    _, groups, forms = _scan_buckets(tower, budget, None, False, workers,
+                                     progress)
     order = tower.order
     shared = [ids for ids in groups.values() if len(ids) > 1]
     # being a club reads only a_1 .. a_(n-1): one test per distinct tail
@@ -952,9 +976,7 @@ def verify_club_uniqueness(p: int, e: int, n: int,
                   if is_club_coeffs(tower, _id_coeffs(tower, tid * order))}
     clubs = [ids for ids in shared
              if any(pid // order in club_tails for pid in ids)]
-    forms = {tid: _tail_form(tower, tid)
-             for tid in {pid // order for ids in clubs for pid in ids}}
     # one twist-canonical form per bucket: b_i = a_i * lambda^(q^i - 1),
-    # the relation diag_similar tests
-    return all(len({pid % order + forms[pid // order] * order
-                    for pid in ids}) == 1 for ids in clubs)
+    # the relation diag_similar tests; the scan handed over every form
+    return all(len({pid % order + _tail_form(tower, pid // order, forms)
+                    * order for pid in ids}) == 1 for ids in clubs)

@@ -31,7 +31,8 @@ ASCII byte b < 128 maps h + 128m to its image of h plus 128m*P (the xor
 touches only the low 7 bits), so hashing k ASCII bytes s takes any state h
 to h*P^k + C_s[h mod 128] mod 2^64, C_s[x] being the hash of s from x minus
 x*P^k: one step per fingerprint entry.  A value gets its table C_s when it
-recurs, and each entry is filled when first read.
+recurs, and each entry is filled when first read; past _DIGEST_VALUES
+values a tower hashes new ones by the byte route.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _DIGESTS: Dict[FieldTower, tuple] = {}
+_DIGEST_VALUES = 1024  # per tower; no tower of order up to 1024 fills it
 
 
 def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
@@ -207,7 +209,10 @@ class DicksonMatrix:
         a tower with log tables reads its row of self._shift_table() (see
         the module docstring); otherwise the shifted matrix takes one
         determinant per orbit."""
-        t, s = self.tower, self.size
+        t, s, table = self.tower, self.size, self._table
+        if table is not None and 0 < shift < t.order and (
+                s == t.n or t.in_subfield(shift, s)):
+            return table[t._log[shift]]
         if s > FINGERPRINT_BOUND:
             raise TooLargeError(
                 f"fingerprint needs 2^{s} minors, above 2^{FINGERPRINT_BOUND}")
@@ -454,8 +459,10 @@ def fingerprint_digest(tower: FieldTower, fingerprint: Sequence[int]) -> int:
         step = steps.get(v)
         if not step:  # bytes for v's first two steps; the second makes a table
             data = b"," + json(v)
-            steps[v] = () if step is None else (
-                pow(_FNV_PRIME, len(data), 1 << 64), array("Q", bytes(1024)), data)
+            if len(steps) < _DIGEST_VALUES:
+                steps[v] = () if step is None else (
+                    pow(_FNV_PRIME, len(data), 1 << 64),
+                    array("Q", bytes(1024)), data)
             h = fnv1a64(data, h)
             continue
         pk, c, data = step

@@ -31,6 +31,7 @@ from linsetlab.gf import build_tower
 from linsetlab.linpoly import (
     LinearizedPolynomial,
     _adjoint_coeffs,
+    _twist_coeffs,
     poly_from_id,
     poly_to_id,
 )
@@ -483,12 +484,13 @@ def test_twist_classes_settle_the_pairs_of_the_per_pair_forms():
                 else:
                     pending.append((x, y))
         ids = [poly_to_id(f) for f in polys]
-        assert classify._twist_classes(t, ids, False) == (cases, pending)
+        assert classify._twist_classes(t, ids, {}) == (cases, pending)
         # members that are already canonical are their own forms
         reps = [poly_to_id(LinearizedPolynomial(t, c))
                 for c in dict.fromkeys(canon)]
-        assert classify._twist_classes(t, reps, True) == \
-            classify._twist_classes(t, reps, False)
+        own = {pid // t.order: pid // t.order for pid in reps}
+        assert classify._twist_classes(t, reps, own) == \
+            classify._twist_classes(t, reps, {})
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -509,10 +511,11 @@ def test_twist_forms_depend_on_the_tail_only(data, pen):
 
 
 def test_full_search_takes_one_twist_form_per_tail(monkeypatch):
-    # the classify phase takes each distinct tail's form once; the adjoint
-    # forms of a full scan are all among them.  The scan's twist filter
-    # takes a form only for a kept tail whose leading coefficient is the
-    # minimum of its residue class: 302 of the 4,080 kept tails at (2,1,4)
+    # a full scan hands every member tail's form to the classify phase,
+    # adjoint form tails included, so that phase takes none.  The scan's
+    # twist filter takes a form only for a kept tail whose leading
+    # coefficient is the minimum of its residue class: 302 of the 4,080
+    # kept tails at (2,1,4)
     t = build_tower(2, 1, 4)
     form = classify._twist_canonical_form
     calls, inside = {"_scan_worker": 0, "_classify_worker": 0}, [None]
@@ -539,7 +542,7 @@ def test_full_search_takes_one_twist_form_per_tail(monkeypatch):
     rep = bucket_search(2, 1, 4)
     tails = {pid // t.order for b in rep.buckets.values()
              for pid in b["members"]}
-    assert 0 < calls["_classify_worker"] <= len(tails)
+    assert calls["_classify_worker"] == 0
     mins = _twist_tables(t)[1]
     leading = 0
     for tid in tails:
@@ -754,7 +757,7 @@ def test_buckets_are_the_slope_set_classes(pen):
     # no fingerprint on this side.  f(x)/x = c0 + g(x)/x for the tail g,
     # so each tail's slopes are computed once and translated per c0
     t = build_tower(*pen)
-    _, groups = classify._scan_buckets(t, None, None, False, 1, None)
+    _, groups, _ = classify._scan_buckets(t, None, None, False, 1, None)
     members = list(groups.items())
     tail_slopes = {}
     by_slopes = {}
@@ -805,7 +808,8 @@ def test_sharing_results_among_translates_changes_nothing(monkeypatch, pen,
     t = build_tower(*pen)
     ids = None if sample is None else sorted(
         random.Random(0).sample(range(t.order ** t.n), sample))
-    _, groups = classify._scan_buckets(t, None, ids, modulo_twist, 1, None)
+    _, groups, forms = classify._scan_buckets(t, None, ids, modulo_twist, 1,
+                                              None)
     items, _ = classify._name_buckets(t, groups)
     chunks = classify._classify_chunks(items, t.order)
     assert sorted(item for chunk in chunks for item in chunk) == items
@@ -813,8 +817,8 @@ def test_sharing_results_among_translates_changes_nothing(monkeypatch, pen,
     assert sum(map(len, first_tails)) == len(set().union(*first_tails))
     twist_classes, lin_calls = classify._twist_classes, []
 
-    def one_left(tower, ids, canonical):
-        cases, pending = twist_classes(tower, ids, canonical)
+    def one_left(tower, ids, forms):
+        cases, pending = twist_classes(tower, ids, forms)
         return cases, pending + [(0, len(ids) - 1)]
 
     def counted_set_linearity(sub):
@@ -830,7 +834,7 @@ def test_sharing_results_among_translates_changes_nothing(monkeypatch, pen,
         lin_calls.clear()
         return {key: rest for chunk in chunks for key, *rest in
                 classify._classify_worker((descriptor, chunk, paranoid,
-                                           modulo_twist))}
+                                           dict(forms)))}
 
     shared = run(chunks, False)
     tails = {tuple(pid // t.order for pid in ids) for _, ids in items}
@@ -897,22 +901,68 @@ def test_full_scan_chunks_key_each_kept_id_once(monkeypatch, pen,
         return res
 
     monkeypatch.setattr(classify, "_scan_worker", recording_scan)
-    _, groups = classify._scan_buckets(t, None, None, modulo_twist, 1, None)
+    _, groups, _ = classify._scan_buckets(t, None, None, modulo_twist, 1,
+                                          None)
     assert len(results) > 1 or t.order ** t.n <= classify.SCAN_CHUNK
     tables = _twist_tables(t)
     kept = [pid for pid in range(t.order ** t.n)
             if classify._tail_filtered(t, pid // t.order, modulo_twist,
                                        tables) is not None]
-    emitted = sorted(pid for res in results for ids in res.values()
+    emitted = sorted(pid for res, _ in results for ids in res.values()
                      for pid in ids)
     assert emitted == kept
-    for res in results:
+    for res, _ in results:
         for fp, ids in res.items():
             for pid in ids:
                 f = poly_from_id(t, pid)
                 assert DicksonMatrix.from_poly(f).fingerprint() == fp
     assert all(ids == sorted(set(ids)) for ids in groups.values())
     assert sum(map(len, groups.values())) == len(kept)
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 3), (3, 1, 3), (2, 2, 2), (2, 1, 4)])
+def test_full_scan_hands_over_the_form_of_every_kept_tail(pen):
+    # the forms a full scan hands to the classify phase against
+    # _tail_form on an empty memo, the canonical-form route; the adjoint
+    # form tails that _twist_classes looks up must be among them too
+    t = build_tower(*pen)
+    _, _, forms = classify._scan_buckets(t, None, None, False, 1, None)
+    kept = [tid for tid in range(t.order ** (t.n - 1))
+            if classify._tail_filtered(t, tid, False, None) is not None]
+    assert sorted(forms) == kept
+    assert all(forms[tid] == classify._tail_form(t, tid, {}) for tid in kept)
+    for f in set(forms.values()):
+        adj = _adjoint_coeffs(t, poly_from_id(t, f * t.order).coeffs)
+        assert poly_to_id(LinearizedPolynomial(t, adj)) // t.order in forms
+
+
+@pytest.mark.parametrize("pen, chunks", [
+    ((3, 1, 3), None), ((2, 2, 2), None), ((5, 1, 3), 2), ((2, 1, 4), None)])
+def test_orbit_members_from_log_tables_are_the_distinct_twists(pen, chunks):
+    # _scan_worker reaches an orbit's members through log b_i = log a_i +
+    # L*(q^i - 1), L < (q^n - 1)/(q - 1): each canonical kept tail of a
+    # chunk's range must get exactly the distinct _twist_coeffs images over
+    # lam in F^*, each member once; q > 2 is where F_q^* fixes tails.  At
+    # (5,1,3), above the default budget, the first chunks stand for all
+    t = build_tower(*pen)
+    order, tables = t.order, _twist_tables(t)
+    step = max(classify.SCAN_CHUNK // order, 1) * order
+    for lo in list(range(0, order ** t.n, step))[:chunks]:
+        hi = min(lo + step, order ** t.n)
+        groups, forms = classify._scan_worker(
+            ((*pen, t.modulus), lo, hi, None, False))
+        canon = [tid for tid in range(lo // order, hi // order)
+                 if classify._tail_filtered(t, tid, True, tables) is not None]
+        assert canon and sorted(set(forms.values())) == canon
+        for c in canon:
+            coeffs = poly_from_id(t, c * order).coeffs
+            twists = {poly_to_id(LinearizedPolynomial(
+                t, _twist_coeffs(t, coeffs, lam))) // order
+                for lam in range(1, order)}
+            members = [m for m, f in forms.items() if f == c]
+            assert sorted(members) == sorted(twists)
+            assert len(members) == (order - 1) // (t.q - 1)
+        assert sum(map(len, groups.values())) == len(forms) * order
 
 
 def test_sampled_scan_expands_only_tails_shared_by_several_ids(monkeypatch):
@@ -942,9 +992,9 @@ def test_sampled_scan_expands_only_tails_shared_by_several_ids(monkeypatch):
 
     monkeypatch.setattr(linalg, "det", counting_det)
     monkeypatch.setattr(DicksonMatrix, "_diagonal_terms", counting_terms)
-    groups = classify._scan_worker(((2, 1, 4), 0, 0, ids, False))
+    groups, forms = classify._scan_worker(((2, 1, 4), 0, 0, ids, False))
     monkeypatch.undo()
-    assert expanded[0] == shared and dets[0] == 5 * len(kept)
+    assert expanded[0] == shared and dets[0] == 5 * len(kept) and not forms
     assert {pid: fp for fp, members in groups.items() for pid in members} == {
         pid: DicksonMatrix.from_poly(poly_from_id(t, pid)).fingerprint()
         for r in kept.values() for pid in r}

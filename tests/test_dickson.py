@@ -277,6 +277,25 @@ def test_table_digest_fills_at_most_one_entry_per_step(monkeypatch):
     assert 0 < sum(x != 0 for c in tables for x in c) <= 63
 
 
+def test_digest_tables_stop_at_the_cap(monkeypatch):
+    # with the cap set low, a tower's entry holds at most that many values,
+    # and the values past it take the byte route with the same digest; the
+    # real cap sits above every value of the benchmarked towers
+    assert gf.build_tower(5, 1, 3).order < dickson._DIGEST_VALUES
+    monkeypatch.setattr(dickson, "_DIGESTS", {})
+    monkeypatch.setattr(dickson, "_DIGEST_VALUES", 6)
+    t = gf.build_tower(3, 1, 3)
+    rng = random.Random(7)
+    fps = [DicksonMatrix(t, [rng.randrange(t.order) for _ in range(3)])
+           .fingerprint() for _ in range(60)]
+    for fp in fps + fps:
+        assert fingerprint_digest(t, fp) == \
+            fnv1a64(fingerprint_to_bytes(t, fp))
+    (_, steps), = dickson._DIGESTS.values()
+    assert len(steps) == 6 < len({v for fp in fps for v in fp[1:]})
+    assert any(steps.values())
+
+
 # ---------------------------------------------------------------------------
 # characteristic values and multiplicities
 # ---------------------------------------------------------------------------
@@ -384,6 +403,36 @@ def test_root_multiplicity_examples():
     B = DicksonMatrix.from_poly(LinearizedPolynomial(t, [6]))
     assert B.root_multiplicity(6) == (t.q ** 3 - 1) // (t.q - 1)
     assert B.root_multiplicity(5) == 0
+
+
+@pytest.mark.parametrize("pen, s", [((2, 1, 4), 2), ((3, 1, 3), 1)])
+def test_fingerprint_reads_a_built_table_behind_its_checks(pen, s):
+    # once _shift_table() is built, fingerprint(c0) reads its row first:
+    # every c0 must still give the determinant route's minors, and a shift
+    # out of range, or outside F_(q^s) on a size-s < n matrix, must still
+    # be refused rather than read as a row
+    t = gf.build_tower(*pen)
+    rng = random.Random(11)
+    for _ in range(12):
+        tail = [rng.randrange(t.order) for _ in range(t.n - 1)]
+        B = DicksonMatrix(t, [0] + tail)
+        B._shift_table()
+        for c0 in range(t.order):
+            assert B.fingerprint(c0) == \
+                DicksonMatrix(t, [c0] + tail)._principal_minors()
+        for shift in (-1, t.order):
+            with pytest.raises(ValueError):
+                B.fingerprint(shift)
+    sub = t.subfield_elements(s)
+    small = DicksonMatrix(t, [0] + [sub[-1]] * (s - 1))
+    small._shift_table()
+    for shift in range(-1, t.order + 1):
+        if shift in sub:
+            assert small.fingerprint(shift) == DicksonMatrix(
+                t, [shift] + list(small.coeffs[1:]))._principal_minors()
+        else:
+            with pytest.raises(ValueError):
+                small.fingerprint(shift)
 
 
 @pytest.mark.parametrize("pen, s", [((2, 1, 4), 2), ((2, 1, 6), 3),
