@@ -10,6 +10,7 @@ worker count.
 """
 
 import bisect
+import functools
 import math
 import os
 import random
@@ -431,50 +432,25 @@ def replay_verdict(f: LinearizedPolynomial, g: LinearizedPolynomial,
 # canonical representatives under the twist action
 # ---------------------------------------------------------------------------
 
-_TWIST_CACHE: Dict[tuple, tuple] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _twist_tables(tower: FieldTower) -> tuple:
-    """Per-tail-index minima and stabilizer twist multipliers."""
-    key = (tower.p, tower.e, tower.n, tower.modulus)
-    cached = _TWIST_CACHE.get(key)
-    if cached is not None:
-        return cached
-    onum = tower.order - 1
-    mins: List[Optional[List[int]]] = [None]
-    stabs: List[Optional[List[List[int]]]] = [None]
-    for i in range(1, tower.n):
-        texp = tower.q ** i - 1
-        g0 = math.gcd(texp, onum)
-        by_residue: List[Optional[int]] = [None] * g0
-        for ell in range(onum):
-            v = tower._exp[ell]
-            r = ell % g0
-            if by_residue[r] is None or v < by_residue[r]:
-                by_residue[r] = v
-        stab = []
-        for k in range(g0):
-            lam = tower._exp[(onum // g0) * k]
-            if lam == 1:
-                continue
-            # the multipliers lam^(q^j - 1) twist the all-ones vector
-            stab.append(_twist_coeffs(tower, [1] * tower.n, lam))
-        mins.append(by_residue)
-        stabs.append(stab)
-    data = (onum, mins, stabs)
-    _TWIST_CACHE[key] = data
-    return data
+    """Per tail index i, the smallest packed value of each residue class of
+    discrete logs modulo gcd(q^i - 1, q^n - 1): a twist moves log a_i by
+    multiples of q^i - 1, so a_i reaches exactly its class."""
+    exp, onum = tower._exp, tower._onum
+    return (None,) + tuple(tuple(min(exp[r::g0]) for r in range(g0))
+                           for g0 in (math.gcd(tower.q ** i - 1, onum)
+                                      for i in range(1, tower.n)))
 
 
 def _is_twist_canonical(tower: FieldTower, coeffs: Sequence[int],
-                        data: tuple) -> bool:
+                        mins: tuple) -> bool:
     """True when coeffs is the canonical member of its twist orbit.
 
     The leading tail coefficient is pushed to the smallest packed value it
     can reach; ties over the residual stabilizer break by lexicographic
     comparison of the remaining coefficients.
     """
-    mins = data[1]
     i0 = next((i for i in range(1, tower.n) if coeffs[i]), None)
     if i0 is None:
         return True
@@ -482,41 +458,41 @@ def _is_twist_canonical(tower: FieldTower, coeffs: Sequence[int],
     la = tower._log[coeffs[i0]]
     if coeffs[i0] != by_residue[la % len(by_residue)]:
         return False
-    return _twist_canonical_form(tower, coeffs, data) == tuple(coeffs)
+    return _twist_canonical_form(tower, coeffs, mins) == tuple(coeffs)
 
 
 def _twist_canonical_form(tower: FieldTower, coeffs: Sequence[int],
-                          data: tuple) -> Tuple[int, ...]:
+                          mins: tuple) -> Tuple[int, ...]:
     """The unique member of the twist orbit of coeffs that passes
     _is_twist_canonical; two polynomials are twists of one another (their
-    graphs are scalar multiples) exactly when their forms coincide."""
-    onum, mins, stabs = data
-    n = tower.n
-    i0 = next((i for i in range(1, n) if coeffs[i]), None)
+    graphs are scalar multiples) exactly when their forms coincide.  For
+    lam = g^L, log b_i = log a_i + L*(q^i - 1); the form is the smallest
+    twist by the L = L0 + k*(q^n - 1)/g0, g0 = gcd(q^i0 - 1, q^n - 1), that
+    take the leading a_i0 to its residue minimum (those below
+    (q^n - 1)/(q - 1) suffice, as lam in F_q^* fixes every tail)."""
+    i0 = next((i for i in range(1, tower.n) if coeffs[i]), None)
     if i0 is None:
         return tuple(coeffs)
-    by_residue = mins[i0]
-    target = by_residue[tower._log[coeffs[i0]] % len(by_residue)]
-    lam = tower.kth_roots(tower.div(target, coeffs[i0]), tower.q ** i0 - 1)[0]
-    base = _twist_coeffs(tower, coeffs, lam)
-    best = base
-    tail = slice(i0 + 1, n)
-    for mults in stabs[i0]:
-        cand = [tower.mul(c, m) if c else 0 for c, m in zip(base, mults)]
-        if cand[tail] < best[tail]:
-            best = cand
-    return tuple(best)
+    exp, log, onum = tower._exp, tower._log, tower._onum
+    la, g0 = log[coeffs[i0]], len(mins[i0])
+    period = onum // g0
+    L0 = ((log[mins[i0][la % g0]] - la) // g0
+          * pow((tower.q ** i0 - 1) // g0, -1, period) % period)
+    steps = [tower.q ** i - 1 for i in range(tower.n)]
+    return min(tuple(exp[(log[c] + L * s) % onum] if c else 0
+                     for c, s in zip(coeffs, steps))
+               for L in range(L0, onum // (tower.q - 1), period))
 
 
 # ---------------------------------------------------------------------------
 # bucket search
 # ---------------------------------------------------------------------------
 
-def _tail_filtered(tower: FieldTower, tail_id: int, modulo_twist: bool,
-                   twist_data) -> Optional[List[int]]:
+def _tail_filtered(tower: FieldTower, tail_id: int,
+                   mins: Optional[tuple]) -> Optional[List[int]]:
     """Coefficients 1..n-1 shared by every id pid with pid // order ==
-    tail_id, or None when the gcd filter or (with modulo_twist) the twist
-    filter drops them; neither filter reads coefficient 0."""
+    tail_id, or None when the gcd filter or (given the _twist_tables
+    minima) the twist filter drops them; neither reads coefficient 0."""
     v = tail_id
     order = tower.order
     tail = []
@@ -528,7 +504,7 @@ def _tail_filtered(tower: FieldTower, tail_id: int, modulo_twist: bool,
             gcd_acc = math.gcd(gcd_acc, i)
     if gcd_acc != 1:
         return None
-    if modulo_twist and not _is_twist_canonical(tower, [0] + tail, twist_data):
+    if mins is not None and not _is_twist_canonical(tower, [0] + tail, mins):
         return None
     return tail
 
@@ -549,14 +525,14 @@ def _scan_worker(args):
     descriptor, lo, hi, ids, modulo_twist = args
     tower = build_tower(*descriptor)
     order = tower.order
-    twist_data = _twist_tables(tower) if modulo_twist or ids is None else None
+    mins = _twist_tables(tower) if modulo_twist or ids is None else None
     groups: Dict[Tuple[int, ...], List[int]] = {}
     forms: Dict[int, int] = {}
     if ids is None:
         exp, log, onum = tower._exp, tower._log, tower._onum
         walk = range(onum // (tower.q - 1))
         for tid in range(lo // order, hi // order):
-            tail = _tail_filtered(tower, tid, True, twist_data)
+            tail = _tail_filtered(tower, tid, mins)
             if tail is None:
                 continue
             base = DicksonMatrix(tower, [0] + tail)
@@ -579,7 +555,7 @@ def _scan_worker(args):
     while k < len(ids):
         tid = ids[k] // order
         end = bisect.bisect_left(ids, (tid + 1) * order, k)
-        tail = _tail_filtered(tower, tid, modulo_twist, twist_data)
+        tail = _tail_filtered(tower, tid, mins)
         if tail is not None:
             if modulo_twist:
                 forms[tid] = tid
@@ -791,19 +767,26 @@ def _run_chunks(worker, chunk_args: Iterable, count: int, workers: int):
             yield res
 
 
+def _check_scan(tower: FieldTower, budget: Optional[int], workers: int,
+                full: bool) -> None:
+    """Refuse workers below 1, then a full scan's order^n ids over budget."""
+    if workers < 1:
+        raise BadParametersError(f"workers must be at least 1, got {workers}")
+    total = tower.order ** tower.n
+    limit = enumeration_budget() if budget is None else budget
+    if full and total > limit:
+        raise BudgetExceededError(
+            f"{total} candidate polynomials exceed the budget {limit}")
+
+
 def _scan_buckets(tower: FieldTower, budget: Optional[int],
                   id_list: Optional[List[int]], modulo_twist: bool,
                   workers: int, progress: Optional[Callable[[int, int], None]]):
     """Scan id_list (every id when None) and bucket the kept candidates by
     exact fingerprint; returns (visited, {fingerprint: ascending ids},
     {tail id: form tail id} as the chunks hand them over)."""
-    if workers < 1:
-        raise BadParametersError(f"workers must be at least 1, got {workers}")
+    _check_scan(tower, budget, workers, id_list is None)
     total = tower.order ** tower.n
-    limit = enumeration_budget() if budget is None else budget
-    if id_list is None and total > limit:
-        raise BudgetExceededError(
-            f"{total} candidate polynomials exceed the budget {limit}")
     descriptor = (tower.p, tower.e, tower.n, tower.modulus)
     if id_list is None:
         # whole tails per chunk, so no tail's minors are computed twice
@@ -887,12 +870,16 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
 
     work_items = [(key, ids) for key, ids in bucket_members
                   if len(ids) > 1 or tower.order <= LINEARITY_CHECK_ORDER]
-    chunks = _classify_chunks(work_items, tower.order)
-    # each chunk carries the forms of its own member tails only
+    order = tower.order
+    chunks = _classify_chunks(work_items, order)
+    # each chunk's forms come from one bucket per first member tail: in a
+    # full scan the others are its translates, with the same tails, and
+    # _tail_form fills in what a sampled scan's slice lacks
     cls_args = (((p, e, n, tower.modulus), chunk, paranoid,
-                 {tid: forms[tid] for tid in {pid // tower.order
-                                              for _, ids in chunk for pid in ids}
-                  if tid in forms}) for chunk in chunks)
+                 {tid: forms[tid]
+                  for ids in {ids[0] // order: ids for _, ids in chunk}.values()
+                  for tid in (pid // order for pid in ids) if tid in forms})
+                for chunk in chunks)
     # chunks run in tail order; the report below follows key order
     results = {r[0]: r for res in _run_chunks(_classify_worker, cls_args,
                                               len(chunks), workers)
@@ -960,23 +947,21 @@ def verify_club_uniqueness(p: int, e: int, n: int,
                            progress: Optional[Callable[[int, int], None]] = None
                            ) -> bool:
     """Check that every bucket containing a club holds only twist-equivalent
-    members: equal fingerprints force W = lambda U when L_U is a club.  The
-    members' twist forms are those the full scan hands over."""
+    members: equal fingerprints force W = lambda U when L_U is a club.
+    (x, y) -> (x, y + gamma*x) carries buckets onto buckets with the same
+    tails, and buckets are unions of twist orbits, which keep clubs
+    (b_(i+1)/b_i^q = c*lambda^(q-1) has norm one): so no a_0 = 0 club's
+    canonical tail may share its fingerprint with another canonical tail.
+    The budget bounds all order^n ids; progress counts a_0 = 0 ids."""
     if n < 3:
         raise BadParametersError("club uniqueness needs n >= 3")
     tower = build_tower(p, e, n, modulus)
+    _check_scan(tower, budget, workers, True)
     # the scan's gcd filter drops only F_(q^d)-linear graphs (d > 1), whose
     # sets have at most (q^n-1)/(q^d-1) < q^(n-1)+1 points, fewer than a club
-    _, groups, forms = _scan_buckets(tower, budget, None, False, workers,
-                                     progress)
-    order = tower.order
-    shared = [ids for ids in groups.values() if len(ids) > 1]
-    # being a club reads only a_1 .. a_(n-1): one test per distinct tail
-    club_tails = {tid for tid in {pid // order for ids in shared for pid in ids}
-                  if is_club_coeffs(tower, _id_coeffs(tower, tid * order))}
-    clubs = [ids for ids in shared
-             if any(pid // order in club_tails for pid in ids)]
-    # one twist-canonical form per bucket: b_i = a_i * lambda^(q^i - 1),
-    # the relation diag_similar tests; the scan handed over every form
-    return all(len({pid % order + _tail_form(tower, pid // order, forms)
-                    * order for pid in ids}) == 1 for ids in clubs)
+    _, groups, _ = _scan_buckets(tower, budget,
+                                 range(0, tower.order ** n, tower.order),
+                                 True, workers, progress)
+    return not any(len(ids) > 1 and any(is_club_coeffs(
+        tower, _id_coeffs(tower, pid)) for pid in ids)
+        for ids in groups.values())

@@ -457,6 +457,48 @@ def test_twist_canonical_form_is_orbit_invariant():
                 assert _twist_canonical_form(t, g, data) == form
 
 
+def _check_smallest_twists(t, coeff_lists):
+    # _twist_canonical_form against the lexicographic minimum of the
+    # distinct _twist_coeffs images over every lam in F^*, one orbit at a
+    # time; returns how many forms broke a tie among several twists that
+    # take the leading coefficient to its residue minimum
+    mins, smallest, ties = _twist_tables(t), {}, 0
+    for cs in coeff_lists:
+        key = tuple(cs)
+        if key not in smallest:
+            orbit = {tuple(_twist_coeffs(t, cs, lam))
+                     for lam in range(1, t.order)}
+            low = min(orbit)
+            i0 = next((i for i in range(1, t.n) if low[i]), 0)
+            reach = sum(o[i0] == low[i0] for o in orbit)
+            smallest.update(dict.fromkeys(orbit, (low, reach)))
+        low, reach = smallest[key]
+        assert _twist_canonical_form(t, cs, mins) == low
+        ties += reach > 1
+    return ties
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 4), (3, 1, 3), (5, 1, 3)])
+def test_twist_form_is_the_smallest_twist_of_every_tail(pen):
+    t = build_tower(*pen)
+    _check_smallest_twists(t, (coeffs_of_id(t, tid * t.order)
+                               for tid in range(t.order ** (t.n - 1))))
+
+
+def test_twist_form_breaks_ties_over_the_whole_coset():
+    # at (3,1,4) a_1 = 0 puts the leading coefficient at i0 = 2 (almost
+    # always), where g0 = gcd(3^2 - 1, 3^4 - 1) = 8 > q - 1: eight lam, four
+    # twists as lam in F_3^* fixes tails, take a_2 to its residue minimum,
+    # and a_3 decides between them (1,952 of the 2,000 tails)
+    t = build_tower(3, 1, 4)
+    assert len(_twist_tables(t)[2]) == 8
+    rng = random.Random(41)
+    tails = [[rng.randrange(t.order), 0] + [rng.randrange(t.order)
+                                            for _ in range(2)]
+             for _ in range(2000)]
+    assert _check_smallest_twists(t, tails) == 1952
+
+
 def test_twist_classes_settle_the_pairs_of_the_per_pair_forms():
     # one form and one adjoint form per class against one of each per
     # member: canon[x] == canon[y] is multiple, canon_adj[x] == canon[y]
@@ -543,7 +585,7 @@ def test_full_search_takes_one_twist_form_per_tail(monkeypatch):
     tails = {pid // t.order for b in rep.buckets.values()
              for pid in b["members"]}
     assert calls["_classify_worker"] == 0
-    mins = _twist_tables(t)[1]
+    mins = _twist_tables(t)
     leading = 0
     for tid in tails:
         cs = poly_from_id(t, tid * t.order).coeffs
@@ -906,8 +948,9 @@ def test_full_scan_chunks_key_each_kept_id_once(monkeypatch, pen,
     assert len(results) > 1 or t.order ** t.n <= classify.SCAN_CHUNK
     tables = _twist_tables(t)
     kept = [pid for pid in range(t.order ** t.n)
-            if classify._tail_filtered(t, pid // t.order, modulo_twist,
-                                       tables) is not None]
+            if classify._tail_filtered(t, pid // t.order,
+                                       tables if modulo_twist else None)
+            is not None]
     emitted = sorted(pid for res, _ in results for ids in res.values()
                      for pid in ids)
     assert emitted == kept
@@ -928,7 +971,7 @@ def test_full_scan_hands_over_the_form_of_every_kept_tail(pen):
     t = build_tower(*pen)
     _, _, forms = classify._scan_buckets(t, None, None, False, 1, None)
     kept = [tid for tid in range(t.order ** (t.n - 1))
-            if classify._tail_filtered(t, tid, False, None) is not None]
+            if classify._tail_filtered(t, tid, None) is not None]
     assert sorted(forms) == kept
     assert all(forms[tid] == classify._tail_form(t, tid, {}) for tid in kept)
     for f in set(forms.values()):
@@ -952,7 +995,7 @@ def test_orbit_members_from_log_tables_are_the_distinct_twists(pen, chunks):
         groups, forms = classify._scan_worker(
             ((*pen, t.modulus), lo, hi, None, False))
         canon = [tid for tid in range(lo // order, hi // order)
-                 if classify._tail_filtered(t, tid, True, tables) is not None]
+                 if classify._tail_filtered(t, tid, tables) is not None]
         assert canon and sorted(set(forms.values())) == canon
         for c in canon:
             coeffs = poly_from_id(t, c * order).coeffs
@@ -976,7 +1019,7 @@ def test_sampled_scan_expands_only_tails_shared_by_several_ids(monkeypatch):
     for pid in ids:
         runs.setdefault(pid // t.order, []).append(pid)
     kept = {tid: r for tid, r in runs.items()
-            if classify._tail_filtered(t, tid, False, None) is not None}
+            if classify._tail_filtered(t, tid, None) is not None}
     shared = sum(len(r) > 1 for r in kept.values())
     assert 0 < shared < len(kept)
     det, terms = linalg.det, DicksonMatrix._diagonal_terms
@@ -1004,14 +1047,19 @@ def test_sampled_scan_expands_only_tails_shared_by_several_ids(monkeypatch):
     ((2, 1, 3), {}),
     ((3, 1, 3), {"modulo_twist": True}),
     ((2, 1, 6), {"budget": 1000, "sample": 300}),
+    ((2, 1, 4), {}),
 ])
 def test_scan_fingerprints_exactly_the_ids_whose_tail_passes(monkeypatch, pen,
                                                              kwargs):
     # the scan filters once per tail (coefficients 1..n-1) but must still
     # fingerprint every kept id once; the sample case changes tail inside
-    # a chunk at almost every id
+    # a chunk at almost every id.  The classify phase gets one (key, ids)
+    # item per classified bucket, so C(len(ids), 2) over its items adds up
+    # to pair_count.  The benchmark's traced runs count these three
+    # figures; the full (2,1,4) case is the shape of its main search
     t = build_tower(*pen)
     scan_worker, fingerprint = classify._scan_worker, DicksonMatrix.fingerprint
+    classify_worker, items = classify._classify_worker, []
     visited, inside, calls = [], [False], [0]
 
     def counting_fingerprint(self, *args):
@@ -1027,10 +1075,19 @@ def test_scan_fingerprints_exactly_the_ids_whose_tail_passes(monkeypatch, pen,
         finally:
             inside[0] = False
 
+    def tracked_classify(args):
+        items.extend(args[1])
+        return classify_worker(args)
+
     monkeypatch.setattr(DicksonMatrix, "fingerprint", counting_fingerprint)
     monkeypatch.setattr(classify, "_scan_worker", tracked_scan)
+    monkeypatch.setattr(classify, "_classify_worker", tracked_classify)
     rep = bucket_search(*pen, **kwargs)
     assert calls[0] == rep.scanned
+    assert all(len(item) == 2 and isinstance(item[0], str)
+               and isinstance(item[1], list) for item in items)
+    assert sum(len(ids) * (len(ids) - 1) // 2 for _, ids in items) \
+        == rep.pair_count
     assert len(visited) == rep.params["visited"]
     tables = _twist_tables(t)
 
@@ -1088,12 +1145,22 @@ def test_bucket_search_alternate_modulus_same_shape():
 # -- club uniqueness -------------------------------------------------------------
 
 
-def test_verify_club_uniqueness_small():
+def test_verify_club_uniqueness_small(monkeypatch):
     assert verify_club_uniqueness(2, 1, 3)
     with pytest.raises(ValueError):
         verify_club_uniqueness(2, 1, 2)
     with pytest.raises(BudgetExceededError):
         verify_club_uniqueness(2, 1, 6, budget=1000)
+    # as in a full scan: workers before the budget, and the budget against
+    # all order^n ids, although only the a_0 = 0 ids are scanned
+    with pytest.raises(BadParametersError, match="workers"):
+        verify_club_uniqueness(2, 1, 6, budget=1000, workers=0)
+    with pytest.raises(BudgetExceededError, match="^65536 candidate"):
+        verify_club_uniqueness(2, 1, 4, budget=16 ** 4 - 1)
+    assert verify_club_uniqueness(2, 1, 4, budget=16 ** 4)
+    monkeypatch.setenv("LINSETLAB_BUDGET", "junk")
+    with pytest.raises(BadParametersError, match="LINSETLAB_BUDGET"):
+        verify_club_uniqueness(2, 1, 3)
 
 
 def test_verify_club_uniqueness_catches_a_mixed_bucket(monkeypatch):
@@ -1120,13 +1187,68 @@ def test_verify_club_uniqueness_tests_each_tail_once(monkeypatch):
     assert 0 < len(tails) == len(set(tails)) <= t.order ** (t.n - 1)
 
 
+@pytest.mark.parametrize("pen, canonical", [((3, 1, 3), 56),
+                                            ((2, 1, 4), 272)])
+def test_club_check_fingerprints_canonical_tails_at_a0_zero(monkeypatch, pen,
+                                                           canonical):
+    # one determinant-route fingerprint per canonical kept tail: no shift
+    # table and no twist-form lookup; progress counts the a_0 = 0 ids
+    t = build_tower(*pen)
+    calls = {"fingerprint": 0, "_shift_table": 0, "_tail_form": 0}
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, run)
+
+    for owner, name in ((DicksonMatrix, "fingerprint"),
+                        (DicksonMatrix, "_shift_table"),
+                        (classify, "_tail_form")):
+        counting(owner, name)
+    monkeypatch.setattr(classify, "PROGRESS_EVERY", 64)
+    ticks = []
+    assert verify_club_uniqueness(*pen, progress=lambda done, total:
+                                  ticks.append(total))
+    assert calls == {"fingerprint": canonical, "_shift_table": 0,
+                     "_tail_form": 0}
+    assert ticks and set(ticks) == {t.order ** (t.n - 1)}
+
+
+@pytest.mark.parametrize("pen, alone, canonical", [
+    ((2, 1, 3), 7, 9), ((3, 1, 3), 26, 56), ((2, 1, 4), 60, 272),
+    ((2, 2, 3), 63, 195)])
+def test_club_scan_groups_are_the_twist_classes_of_full_buckets(pen, alone,
+                                                                 canonical):
+    # the club check's old reading: a canonical kept tail's a_0 = 0 bucket
+    # of the full scan holds one (c0, form) class; its new one: the tail
+    # is alone in its group of the a_0 = 0 scan with the twist filter
+    t = build_tower(*pen)
+    order = t.order
+    _, full, forms = classify._scan_buckets(t, None, None, False, 1, None)
+    one_class = {}
+    for ids in full.values():
+        if ids[0] % order == 0:
+            classes = {classify._tail_form(t, pid // order, forms)
+                       for pid in ids}
+            one_class.update(dict.fromkeys(classes, len(classes) == 1))
+    _, groups, _ = classify._scan_buckets(
+        t, None, range(0, order ** t.n, order), True, 1, None)
+    is_alone = {pid // order: len(ids) == 1
+                for ids in groups.values() for pid in ids}
+    assert is_alone == one_class
+    assert (sum(is_alone.values()), len(is_alone)) == (alone, canonical)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_gcd_filtered_ids_never_share_a_club_fingerprint(p):
     t = build_tower(p, 1, 3)
     club_fps, dropped_fps = set(), set()
     for pid in range(t.order ** 3):
         coeffs = coeffs_of_id(t, pid)
-        kept = classify._tail_filtered(t, pid // t.order, False, None) is not None
+        kept = classify._tail_filtered(t, pid // t.order, None) is not None
         if kept and not is_club_coeffs(t, coeffs):
             continue
         fp = DicksonMatrix(t, coeffs).fingerprint()

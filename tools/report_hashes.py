@@ -4,7 +4,7 @@
 
 Each line names one search and gives the SHA-256 of
 json.dumps(report.to_json(), sort_keys=True), the hash that
-tests/test_golden_reports.py pins; the last four lines give
+tests/test_golden_reports.py pins; the last five lines give
 verify_club_uniqueness.  The searches cover plain, modulo_twist, paranoid,
 two-worker and sampled runs.  Run it on two trees (DIR is the tree's src
 directory, by default this repository's) and compare the outputs with
@@ -51,7 +51,9 @@ SEARCHES = (
     ("2-1-7-sample", (2, 1, 7), {"sample": 300}),
     ("3-1-4-sample", (3, 1, 4), {"sample": 300}),
 )
-CLUBS = ((2, 1, 3), (3, 1, 3), (2, 1, 4), (2, 2, 3))
+# ((p, e, n), verify_club_uniqueness keyword arguments)
+CLUBS = (((2, 1, 3), {}), ((3, 1, 3), {}), ((2, 1, 4), {}), ((2, 2, 3), {}),
+         ((5, 1, 3), {"budget": 5 ** 9}))
 
 
 def report_hash(pen, kwargs) -> str:
@@ -67,8 +69,9 @@ def lines():
     from linsetlab.classify import verify_club_uniqueness
     for name, pen, kwargs in SEARCHES:
         yield f"{name} {report_hash(pen, kwargs)}"
-    for pen in CLUBS:
-        yield "verify-{}-{}-{} {}".format(*pen, verify_club_uniqueness(*pen))
+    for pen, kwargs in CLUBS:
+        yield "verify-{}-{}-{} {}".format(
+            *pen, verify_club_uniqueness(*pen, **kwargs))
 
 
 def main(argv=None) -> int:
