@@ -11,6 +11,7 @@ worker count.
 
 import bisect
 import functools
+import itertools
 import math
 import os
 import random
@@ -238,27 +239,29 @@ def _attempt_generalized(f: LinearizedPolynomial, g: LinearizedPolynomial,
 # ---------------------------------------------------------------------------
 
 def _classify_core(f: LinearizedPolynomial, g: LinearizedPolynomial,
-                   A: DicksonMatrix, B: DicksonMatrix, exhaustive: bool,
-                   certificate: Optional[List[str]]):
+                   A: Optional[DicksonMatrix], B: Optional[DicksonMatrix],
+                   exhaustive: bool, certificate: Optional[List[str]]):
     """Cases that hold for a pair whose fingerprints A and B are equal; the
     caller guarantees that equality (classify_pair checks it, and bucket
-    members share an exact fingerprint key)."""
+    members share an exact fingerprint key).  A and B None: the caller has
+    ruled out the scalar and perp cases, so diag_similar is not asked."""
     t = f.tower
     note = certificate.append if certificate is not None else (lambda s: None)
     matched: List[str] = []
     witnesses: Dict[str, dict] = {}
 
-    lam = A.diag_similar(B)
-    note(f"diag_similar(A, B): {lam}")
-    if lam is not None:
-        matched.append("multiple")
-        witnesses["multiple"] = {"lambda": t.inv(lam)}
+    if A is not None:
+        lam = A.diag_similar(B)
+        note(f"diag_similar(A, B): {lam}")
+        if lam is not None:
+            matched.append("multiple")
+            witnesses["multiple"] = {"lambda": t.inv(lam)}
 
-    lam2 = A.diag_similar(B.transpose())
-    note(f"diag_similar(A, B^T): {lam2}")
-    if lam2 is not None:
-        matched.append("perp_multiple")
-        witnesses["perp_multiple"] = {"lambda": lam2}
+        lam2 = A.diag_similar(B.transpose())
+        note(f"diag_similar(A, B^T): {lam2}")
+        if lam2 is not None:
+            matched.append("perp_multiple")
+            witnesses["perp_multiple"] = {"lambda": lam2}
 
     # a common set swept out by a single Frobenius power: both graphs must
     # take the two-generator form {lam*v0 + lam^(q^i)*v1}, which covers the
@@ -509,19 +512,33 @@ def _tail_filtered(tower: FieldTower, tail_id: int,
     return tail
 
 
+def _candidate_tails(tower: FieldTower, lo: int, hi: int):
+    """Tail ids in [lo, hi), ascending, whose leading tail coefficient a_i0
+    is a residue minimum of _twist_tables, plus the zero tail: every
+    twist-canonical tail is one.  Such ids are a*order^(i0-1) +
+    k*order^i0, computed without decoding a tail."""
+    runs = [range(lo, min(hi, 1))]
+    for i0, by_residue in enumerate(_twist_tables(tower)[1:], 1):
+        w, step = tower.order ** (i0 - 1), tower.order ** i0
+        runs += [range(max(a * w, lo + (a * w - lo) % step), hi, step)
+                 for a in by_residue]
+    yield from sorted(itertools.chain.from_iterable(runs))
+
+
 def _scan_worker(args):
     """(fingerprint -> ids of one chunk's kept candidates, unsorted; member
     tail id -> tail id of its twist form).  The id (c0, tail) is keyed as
     the shift f + c0*x of its tail's zero-diagonal matrix.  A full scan
     (ids None) walks twist orbits: b_i = a_i*lam^(q^i - 1) conjugates the
     Dickson matrix by diag(lam, lam^q, ...).  Each twist-canonical tail of
-    the range passing the gcd filter (on the support, so on whole orbits)
-    keys every id of its orbit, most outside the range, and is each
-    member's form; for lam = g^L, log b_i = log a_i + L*(q^i - 1), and the
-    filter leaves F_q^* as stabilizer, so L < (q^n - 1)/(q - 1) meets each
-    member once (under modulo_twist the orbit is the form alone).  A
-    sampled scan filters once per run of ids sharing a tail; a lone id
-    takes the determinant route, cheaper than a shift table."""
+    the range (among its _candidate_tails) passing the gcd filter (on the
+    support, so on whole orbits) keys every id of its orbit, most outside
+    the range, and is each member's form; for lam = g^L, log b_i = log a_i
+    + L*(q^i - 1), and the filter leaves F_q^* as stabilizer, so
+    L < (q^n - 1)/(q - 1) meets each member once (under modulo_twist the
+    orbit is the form alone).  A sampled scan filters once per run of ids
+    sharing a tail; a lone id takes the determinant route, cheaper than a
+    shift table."""
     descriptor, lo, hi, ids, modulo_twist = args
     tower = build_tower(*descriptor)
     order = tower.order
@@ -531,7 +548,7 @@ def _scan_worker(args):
     if ids is None:
         exp, log, onum = tower._exp, tower._log, tower._onum
         walk = range(onum // (tower.q - 1))
-        for tid in range(lo // order, hi // order):
+        for tid in _candidate_tails(tower, lo // order, hi // order):
             tail = _tail_filtered(tower, tid, mins)
             if tail is None:
                 continue
@@ -645,10 +662,13 @@ def _classify_bucket(tower: FieldTower, ids: Sequence[int], paranoid: bool,
     need = range(len(ids)) if paranoid else {k for xy in pending for k in xy}
     polys = {x: poly_from_id(tower, ids[x]) for x in need}
     if pending:
-        mats = {x: DicksonMatrix.from_poly(f) for x, f in polys.items()}
+        # outside paranoid, pending holds only the pairs the twist classes
+        # left open, which are neither twists nor adjoint twists
+        mats = {x: DicksonMatrix.from_poly(f)
+                for x, f in polys.items()} if paranoid else {}
         for x, y in pending:
-            matched, wits = _classify_core(polys[x], polys[y],
-                                           mats[x], mats[y], False, None)
+            matched, wits = _classify_core(polys[x], polys[y], mats.get(x),
+                                           mats.get(y), False, None)
             case = matched[0] if matched else "unknown"
             cases[case] = cases.get(case, 0) + 1
             if case == "unknown":
@@ -680,12 +700,13 @@ def _classify_worker(args):
     done: Dict[Tuple[int, ...], tuple] = {}
     results = []
     for key, ids in items:
-        tails = tuple(pid // tower.order for pid in ids)
+        tails = tuple(map(tower.order.__rfloordiv__, ids))
         if paranoid or tails not in done:
             done[tails] = _classify_bucket(tower, ids, paranoid, forms)
         cases, anomalies, lin = done[tails]
-        results.append((key, cases, tuple((ids[x], ids[y], why)
-                                          for x, y, why in anomalies), lin))
+        results.append((key, cases, tuple(
+            (ids[x], ids[y], why) for x, y, why in anomalies)
+            if anomalies else (), lin))
     return results
 
 
@@ -952,16 +973,17 @@ def verify_club_uniqueness(p: int, e: int, n: int,
     tails, and buckets are unions of twist orbits, which keep clubs
     (b_(i+1)/b_i^q = c*lambda^(q-1) has norm one): so no a_0 = 0 club's
     canonical tail may share its fingerprint with another canonical tail.
-    The budget bounds all order^n ids; progress counts a_0 = 0 ids."""
+    The budget bounds all order^n ids; the scan and progress count the a_0
+    = 0 ids of the _candidate_tails."""
     if n < 3:
         raise BadParametersError("club uniqueness needs n >= 3")
     tower = build_tower(p, e, n, modulus)
     _check_scan(tower, budget, workers, True)
     # the scan's gcd filter drops only F_(q^d)-linear graphs (d > 1), whose
     # sets have at most (q^n-1)/(q^d-1) < q^(n-1)+1 points, fewer than a club
-    _, groups, _ = _scan_buckets(tower, budget,
-                                 range(0, tower.order ** n, tower.order),
-                                 True, workers, progress)
+    _, groups, _ = _scan_buckets(
+        tower, budget, [tid * tower.order for tid in _candidate_tails(
+            tower, 0, tower.order ** (n - 1))], True, workers, progress)
     return not any(len(ids) > 1 and any(is_club_coeffs(
         tower, _id_coeffs(tower, pid)) for pid in ids)
         for ids in groups.values())

@@ -59,6 +59,13 @@ def test_pairs_summarize_in_the_committed_layout(tmp_path):
     ref = committed["workloads"]["search-2-4"]
     assert wl.keys() == ref.keys()
     assert op.keys() == ref["metrics"]["op_ms_p50"].keys()
+    # notes are listed only when given
+    assert bench_pairs.main(["--label", "t", "--parent", "p0", "--change",
+                             "c0", "--out-dir", str(tmp_path), "--note", "a",
+                             "--note", "b c", str(tmp_path)]) == 0
+    noted = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert noted["notes"] == ["a", "b c"]
+    assert {k: v for k, v in noted.items() if k != "notes"} == out
 
 
 def test_bad_result_line_is_a_one_line_error(tmp_path, capsys):

@@ -1008,6 +1008,98 @@ def test_orbit_members_from_log_tables_are_the_distinct_twists(pen, chunks):
         assert sum(map(len, groups.values())) == len(forms) * order
 
 
+def residue_minimum_tails(t):
+    """Brute force, without _twist_tables: the tail ids whose leading
+    coefficient a_i0 is the smallest of {a_i0 * lam^(q^i0 - 1)}, and the
+    zero tail."""
+    order, smallest = t.order, {}
+    for i0 in range(1, t.n):
+        powers = {t.pow(lam, t.q ** i0 - 1) for lam in range(1, order)}
+        smallest[i0] = {a for a in range(1, order)
+                        if a == min(t.mul(a, h) for h in powers)}
+    out = []
+    for tid in range(order ** (t.n - 1)):
+        v, i0 = tid, 1
+        while v and not v % order:
+            v, i0 = v // order, i0 + 1
+        if not v or v % order in smallest[i0]:
+            out.append(tid)
+    return out
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 1), (2, 1, 3), (3, 1, 3), (2, 2, 2),
+                                 (2, 1, 4), (5, 1, 3), (2, 2, 3), (3, 1, 4)])
+def test_candidate_tails_are_the_residue_minimum_tails(pen):
+    # a full scan decodes only the tails _candidate_tails computes: for
+    # every chunk split they must be the brute-force candidates, ascending
+    # and inside the chunk, and the tails _tail_filtered keeps among them
+    # must be those it keeps among all tails.  n = 1 keeps its zero tail;
+    # (3,1,4) has tails whose leading coefficient ties over the stabilizer
+    t = build_tower(*pen)
+    total, mins = t.order ** (t.n - 1), _twist_tables(t)
+    brute = residue_minimum_tails(t)
+    for step in (1, 7, 131, total):
+        los = range(0, total, step)
+        if step == 1 and total > 1 << 14:
+            # one call per tail of (3,1,4) takes seconds; its first and
+            # last 8,192 tails hold ids of every leading position
+            los = [*los[:1 << 13], *los[-(1 << 13):]]
+        got = []
+        for lo in los:
+            chunk = list(classify._candidate_tails(t, lo, min(lo + step,
+                                                              total)))
+            assert all(lo <= tid < lo + step for tid in chunk)
+            got += chunk
+        starts = set(los)
+        assert got == [tid for tid in brute if tid // step * step in starts]
+    kept = [tid for tid in brute
+            if classify._tail_filtered(t, tid, mins) is not None]
+    assert kept == [tid for tid in range(total)
+                    if classify._tail_filtered(t, tid, mins) is not None]
+    assert (pen == (2, 1, 1)) == (kept == [0])
+
+
+def test_candidate_tails_at_2_1_5():
+    # n = 5 is prime and gcd(2^i - 1, 31) = 1, so each leading coefficient
+    # has one minimum and no tie: the 33,825 tails a (2,1,5) modulo_twist
+    # search keeps, and the zero tail
+    t = build_tower(2, 1, 5)
+    assert sum(1 for _ in classify._candidate_tails(t, 0, 32 ** 4)) == 33826
+
+
+def test_only_paranoid_buckets_ask_diag_similar(monkeypatch):
+    # outside paranoid the twist classes settle every scalar and perp pair,
+    # so the pairs left for _classify_core need no diag_similar; paranoid
+    # keeps both calls (A, B and A, B^T) for every pair, as classify_pair
+    # does, and both routes count the same cases
+    t, U, W = criterion_seven_pair()
+    f, g = U.as_graph_poly(), W.as_graph_poly()
+    lam = next(v for v in range(2, t.order) if not t.in_subfield(v, 1))
+    ids = sorted({poly_to_id(f), poly_to_id(f.twist(lam)), poly_to_id(g),
+                  poly_to_id(LinearizedPolynomial(
+                      t, _adjoint_coeffs(t, f.coeffs)))})
+    diag_similar, calls = DicksonMatrix.diag_similar, [0]
+
+    def counting(self, other):
+        calls[0] += 1
+        return diag_similar(self, other)
+
+    monkeypatch.setattr(DicksonMatrix, "diag_similar", counting)
+    results = {}
+    for paranoid in (False, True):
+        calls[0] = 0
+        cases, anomalies, _ = classify._classify_bucket(t, ids, paranoid, {})
+        results[paranoid] = (cases, anomalies, calls[0])
+    pairs = len(ids) * (len(ids) - 1) // 2
+    assert results[False][2] == 0 and results[True][2] == 2 * pairs
+    assert results[False][:2] == results[True][:2]
+    assert results[False][0]["generalized_perp"] > 0
+    assert sum(results[False][0].values()) == pairs
+    calls[0] = 0
+    classify_pair(f, g)
+    assert calls[0] == 2
+
+
 def test_sampled_scan_expands_only_tails_shared_by_several_ids(monkeypatch):
     # a lone id of a sampled scan takes the determinant route; only a tail
     # that several ids share builds the expansion terms, once.  Either way
@@ -1192,7 +1284,8 @@ def test_verify_club_uniqueness_tests_each_tail_once(monkeypatch):
 def test_club_check_fingerprints_canonical_tails_at_a0_zero(monkeypatch, pen,
                                                            canonical):
     # one determinant-route fingerprint per canonical kept tail: no shift
-    # table and no twist-form lookup; progress counts the a_0 = 0 ids
+    # table and no twist-form lookup; progress counts the a_0 = 0 ids of
+    # the candidate tails (leading coefficient a residue minimum, or zero)
     t = build_tower(*pen)
     calls = {"fingerprint": 0, "_shift_table": 0, "_tail_form": 0}
 
@@ -1208,13 +1301,13 @@ def test_club_check_fingerprints_canonical_tails_at_a0_zero(monkeypatch, pen,
                         (DicksonMatrix, "_shift_table"),
                         (classify, "_tail_form")):
         counting(owner, name)
-    monkeypatch.setattr(classify, "PROGRESS_EVERY", 64)
+    monkeypatch.setattr(classify, "PROGRESS_EVERY", 16)
     ticks = []
     assert verify_club_uniqueness(*pen, progress=lambda done, total:
                                   ticks.append(total))
     assert calls == {"fingerprint": canonical, "_shift_table": 0,
                      "_tail_form": 0}
-    assert ticks and set(ticks) == {t.order ** (t.n - 1)}
+    assert ticks and set(ticks) == {len(residue_minimum_tails(t))}
 
 
 @pytest.mark.parametrize("pen, alone, canonical", [

@@ -1,6 +1,7 @@
 """Summarize alternating parent/change benchmark runs into BENCH_<label>.json.
 
-    python3 tools/bench_pairs.py --label LABEL --parent SHA --change SHA DIR
+    python3 tools/bench_pairs.py --label LABEL --parent SHA --change SHA
+        [--note TEXT ...] DIR
 
 DIR holds one file per (workload, seed, side), named
 <workload>-<seed>-<side>.json with side "parent" or "change", whose last
@@ -9,8 +10,10 @@ with both sides present is one pair.  For every end-to-end metric the
 output gives both sides' median and quartiles (inclusive method), the
 change's median relative to the parent's, the number of pairs the change
 wins (strictly better in the direction BENCHMARK.json gives), and every
-run in seed order.  The Python version and core count written are those
-of the machine that runs this script, so run it where the benchmark ran.
+run in seed order; each --note (for example a wall time measured outside
+the benchmark) goes into a "notes" list.  The Python version and core
+count written are those of the machine that runs this script, so run it
+where the benchmark ran.
 Bad input ends in a one-line error and exit code 1.
 """
 
@@ -115,6 +118,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="parent commit sha")
     ap.add_argument("--change", required=True, help="change commit sha")
     ap.add_argument("--out-dir", type=Path, default=ROOT)
+    ap.add_argument("--note", action="append", default=[])
     args = ap.parse_args(argv)
     try:
         spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -127,6 +131,8 @@ def main(argv=None) -> int:
                "workloads": {wl: summarize(runs[wl], better) for wl in sorted(
                    runs, key=lambda w: order.index(w) if w in order
                    else len(order))}}
+        if args.note:
+            out["notes"] = args.note
         path = args.out_dir / f"BENCH_{args.label}.json"
         path.write_text(dump(out) + "\n")
     except (OSError, ValueError, KeyError) as exc:
