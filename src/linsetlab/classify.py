@@ -22,7 +22,7 @@ from typing import (Callable, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
 from . import dickson, linalg
-from .dickson import DicksonMatrix, fingerprint_digest
+from .dickson import DicksonMatrix, fingerprint_digests
 from .errors import (
     AmbientMismatchError,
     BadParametersError,
@@ -836,18 +836,14 @@ def _scan_buckets(tower: FieldTower, budget: Optional[int],
     return visited, groups, forms
 
 
-def _name_buckets(tower: FieldTower, groups: Dict[Tuple[int, ...], List[int]]):
-    """([(key, ids)] in key order, digest_collisions).  A key is the 16-hex-
-    digit digest, suffixed -1, -2, ... by first member on a collision."""
-    by_digest: Dict[int, List[List[int]]] = {}
-    for fp, ids in groups.items():
-        by_digest.setdefault(fingerprint_digest(tower, fp), []).append(ids)
-    members = []
-    for digest in sorted(by_digest):
-        for idx, ids in enumerate(sorted(by_digest[digest])):
-            members.append((f"{digest:016x}" + (f"-{idx}" if idx else ""),
-                            ids))
-    collisions = sum(len(v) > 1 for v in by_digest.values())
+def _name_buckets(digests: Sequence[int], groups: Iterable[List[int]]):
+    """([(key, ids)] in key order, digest_collisions) for the groups' ids:
+    a key is the digest in 16 hex digits, -1, -2, ... by first member."""
+    members, collisions, last, idx = [], 0, None, 0
+    for digest, ids in sorted(zip(digests, groups)):
+        idx, last = (idx + 1 if digest == last else 0), digest
+        collisions += idx == 1
+        members.append((f"{digest:016x}" + (f"-{idx}" if idx else ""), ids))
     return members, collisions
 
 
@@ -878,13 +874,14 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
         range(total), min(sample, total)))
     visited, groups, forms = _scan_buckets(tower, budget, id_list,
                                            modulo_twist, workers, progress)
-    bucket_members, collisions = _name_buckets(tower, groups)
+    digests = fingerprint_digests(tower, list(groups))
+    bucket_members, collisions = _name_buckets(digests, groups.values())
     alerts: List[str] = []
-    if paranoid:  # every name recomputed through the byte route
+    if paranoid:  # every name's digest against the byte route
         alerts += [f"bucket of id {ids[0]}: name is not its fingerprint's digest"
-                   for fp, ids in groups.items() if fingerprint_digest(tower, fp)
+                   for (fp, ids), d in zip(groups.items(), digests) if d
                    != dickson.fnv1a64(dickson.fingerprint_to_bytes(tower, fp))]
-    del groups  # free the fingerprint keys before the classify phase
+    del groups, digests  # free them before the classify phase
     scanned = sum(len(ids) for _, ids in bucket_members)
     buckets: Dict[str, dict] = {key: {"size": len(ids), "cases": {}}
                                 for key, ids in bucket_members}

@@ -32,7 +32,8 @@ touches only the low 7 bits), so hashing k ASCII bytes s takes any state h
 to h*P^k + C_s[h mod 128] mod 2^64, C_s[x] being the hash of s from x minus
 x*P^k: one step per fingerprint entry.  A value gets its table C_s when it
 recurs, and each entry is filled when first read; past _DIGEST_VALUES
-values a tower hashes new ones by the byte route.
+values a tower hashes new ones by the byte route.  fingerprint_digests
+walks a batch of fingerprints one entry position at a time, per block.
 """
 
 from __future__ import annotations
@@ -447,27 +448,44 @@ def fingerprint_to_bytes(tower: FieldTower, fingerprint: Sequence[int]) -> bytes
 
 
 def fingerprint_digest(tower: FieldTower, fingerprint: Sequence[int]) -> int:
-    """fnv1a64(fingerprint_to_bytes(tower, fingerprint)) by the tower's
-    tables (module docstring), one step per entry after the first.  A table
-    entry left 0 is recomputed, which is correct if it is truly 0."""
-    if not fingerprint:
-        return fnv1a64(b"[]")
+    """fnv1a64(fingerprint_to_bytes(tower, fingerprint)) by the tables."""
+    return fingerprint_digests(tower, [fingerprint])[0]
+
+
+def fingerprint_digests(tower: FieldTower, fingerprints: list) -> List[int]:
+    """fingerprint_digest of each of the equal-length fingerprints, one entry
+    position at a time per block of 1024; filled table steps run inline."""
+    if len(set(map(len, fingerprints))) > 1:
+        raise ValueError("fingerprints of different lengths")
+    if not fingerprints or not fingerprints[0]:
+        return [fnv1a64(b"[]")] * len(fingerprints)
     starts, steps = _DIGESTS.get(tower) or _DIGESTS.setdefault(tower, ({}, {}))
-    json, v = tower.coeffs_json, fingerprint[0]
-    h = starts.get(v) or starts.setdefault(v, fnv1a64(b"[" + json(v)))
-    for v in fingerprint[1:]:
-        step = steps.get(v)
-        if not step:  # bytes for v's first two steps; the second makes a table
-            data = b"," + json(v)
-            if len(steps) < _DIGEST_VALUES:
-                steps[v] = () if step is None else (
-                    pow(_FNV_PRIME, len(data), 1 << 64),
-                    array("Q", bytes(1024)), data)
-            h = fnv1a64(data, h)
-            continue
-        pk, c, data = step
-        x = h & 127
-        if not c[x]:
-            c[x] = (fnv1a64(data, x) - x * pk) & _MASK64
-        h = (h * pk + c[x]) & _MASK64
-    return fnv1a64(b"]", h)
+    json, get, mask, out = tower.coeffs_json, steps.get, _MASK64, []
+    for lo in range(0, len(fingerprints), 1024):  # a block's columns stay in cache
+        block = fingerprints[lo:lo + 1024]
+        hs = [starts.get(v) or starts.setdefault(v, fnv1a64(b"[" + json(v)))
+              for v in map(operator.itemgetter(0), block)]
+        for k in range(1, len(block[0])):
+            hs = [(h * s[0] + c) & mask if (c := (s := get(v)) and s[1][h & 127])
+                  else _digest_step(steps, json, h, v)
+                  for h, v in zip(hs, map(operator.itemgetter(k), block))]
+        out += [((h ^ 0x5D) * _FNV_PRIME) & mask for h in hs]  # the closing "]"
+    return out
+
+
+def _digest_step(steps: dict, json, h: int, v: int) -> int:
+    """h after "," + json(v): bytes for v's first two steps, the second making
+    its table (past the cap, new values get none); then the table, filled as read."""
+    step = steps.get(v)
+    if not step:
+        data = b"," + json(v)
+        if step is not None or len(steps) < _DIGEST_VALUES:
+            steps[v] = () if step is None else (
+                pow(_FNV_PRIME, len(data), 1 << 64),
+                array("Q", bytes(1024)), data)
+        return fnv1a64(data, h)
+    pk, c, data = step
+    x = h & 127
+    if not c[x]:
+        c[x] = (fnv1a64(data, x) - x * pk) & _MASK64
+    return (h * pk + c[x]) & _MASK64

@@ -1,5 +1,6 @@
 """Tests for pair classification, verdict replay, and bucket searches."""
 
+import functools
 import json
 import math
 import random
@@ -746,16 +747,43 @@ def test_bucket_search_paranoid_replays_clean():
     assert not rep.anomalies
 
 
+def two_sort_naming(digests, groups):
+    """Reference naming: digests ascending, then the groups of one digest
+    by ascending member list, suffixed -1, -2, ...; collisions count the
+    digests that several groups share."""
+    by_digest = {}
+    for digest, ids in zip(digests, groups):
+        by_digest.setdefault(digest, []).append(ids)
+    members = [(f"{digest:016x}" + (f"-{idx}" if idx else ""), ids)
+               for digest in sorted(by_digest)
+               for idx, ids in enumerate(sorted(by_digest[digest]))]
+    return members, sum(len(v) > 1 for v in by_digest.values())
+
+
 def test_bucket_search_digest_collisions_resolved(monkeypatch):
-    # squash the naming digest to force collisions; fingerprints must still
-    # separate
-    true_digest = classify.fingerprint_digest
-    monkeypatch.setattr(classify, "fingerprint_digest",
-                        lambda t, fp: true_digest(t, fp) % 64)
+    # squash the naming digests to force collisions; fingerprints must still
+    # separate, and keys, their -k order and the collision count follow the
+    # reference naming
+    true_digests = classify.fingerprint_digests
+    monkeypatch.setattr(classify, "fingerprint_digests",
+                        lambda t, fps: [d % 64 for d in true_digests(t, fps)])
+    true_name, named = classify._name_buckets, []
+
+    def name(digests, groups):
+        groups = list(groups)
+        named.append((digests, groups, true_name(digests, groups)))
+        return named[-1][2]
+
+    monkeypatch.setattr(classify, "_name_buckets", name)
     squashed = bucket_search(2, 1, 3)
     monkeypatch.undo()
     full = bucket_search(2, 1, 3)
-    assert squashed.params["digest_collisions"] > 0
+    (digests, groups, (members, collisions)), = named
+    assert (members, collisions) == two_sort_naming(digests, groups)
+    assert any(key.endswith("-2") for key, _ in members)
+    assert squashed.params["digest_collisions"] == collisions > 0
+    assert [(key, b["members"]) for key, b in squashed.buckets.items()] == \
+        members
     assert sorted(b["size"] for b in squashed.buckets.values()) == \
         sorted(b["size"] for b in full.buckets.values())
     assert squashed.histogram == full.histogram
@@ -767,13 +795,20 @@ def test_bucket_search_digest_collisions_resolved(monkeypatch):
 
 def test_paranoid_search_checks_every_name_against_the_byte_route(
         monkeypatch):
-    true_digest = classify.fingerprint_digest
-    monkeypatch.setattr(classify, "fingerprint_digest",
-                        lambda t, fp: true_digest(t, fp) ^ 1)
+    # the digests that named the buckets are the ones checked: one batch
+    # per search, each digest against the byte route
+    true_digests, batches = classify.fingerprint_digests, []
+
+    def digests(t, fps):
+        batches.append(len(fps))
+        return [d ^ 1 for d in true_digests(t, fps)]
+
+    monkeypatch.setattr(classify, "fingerprint_digests", digests)
     assert not bucket_search(2, 1, 3).alerts
     rep = bucket_search(2, 1, 3, paranoid=True)
     assert len(rep.alerts) == rep.bucket_count > 1
     assert not rep.theorem_confirmed
+    assert batches == [rep.bucket_count] * 2
     monkeypatch.undo()
     assert bucket_search(2, 1, 3, paranoid=True).theorem_confirmed
 
@@ -836,6 +871,27 @@ def test_buckets_translate_along_a0(pen, modulo_twist):
         assert moved == rest
 
 
+@pytest.mark.parametrize("pen", [(2, 1, 3), (3, 1, 3), (2, 1, 4), (2, 2, 2)])
+def test_buckets_are_invariant_under_scaling_and_frobenius(pen):
+    # (x, y) -> (x, beta*y) maps the graph of f to that of beta*f, and the
+    # collineation x -> x^p maps it to the graph of f with every coefficient
+    # raised to the p; both are in GammaL(2, q^n) and keep the gcd filter's
+    # support, so each image of a bucket's members is exactly the members of
+    # one bucket, with equal cases and set_linearity (Csajbok, Marino and
+    # Polverino, JCTA 157 (2018))
+    t = build_tower(*pen)
+    rep = bucket_search(*pen)
+    rest = {tuple(b["members"]): {k: v for k, v in b.items() if k != "members"}
+            for b in rep.buckets.values()}
+    assert len(rest) > 1 and all("set_linearity" in b for b in rest.values())
+    maps = [functools.partial(t.mul, beta) for beta in (2, 3, t.order - 1)]
+    for image in maps + [lambda a: t.pow(a, t.p)]:
+        moved = {tuple(sorted(poly_to_id(LinearizedPolynomial(
+            t, [image(a) for a in coeffs_of_id(t, pid)])) for pid in members)): b
+            for members, b in rest.items()}
+        assert moved == rest
+
+
 @pytest.mark.parametrize("pen, modulo_twist, sample", [
     ((2, 1, 4), False, None), ((3, 1, 3), False, None),
     ((2, 1, 4), True, None), ((2, 1, 4), False, 20000)])
@@ -852,7 +908,8 @@ def test_sharing_results_among_translates_changes_nothing(monkeypatch, pen,
         random.Random(0).sample(range(t.order ** t.n), sample))
     _, groups, forms = classify._scan_buckets(t, None, ids, modulo_twist, 1,
                                               None)
-    items, _ = classify._name_buckets(t, groups)
+    items, _ = classify._name_buckets(
+        classify.fingerprint_digests(t, list(groups)), groups.values())
     chunks = classify._classify_chunks(items, t.order)
     assert sorted(item for chunk in chunks for item in chunk) == items
     first_tails = [{ids[0] // t.order for _, ids in chunk} for chunk in chunks]

@@ -17,6 +17,7 @@ from linsetlab.dickson import (
     DicksonMatrix,
     FINGERPRINT_BOUND,
     fingerprint_digest,
+    fingerprint_digests,
     fingerprint_to_bytes,
     fnv1a64,
 )
@@ -252,48 +253,78 @@ def test_fingerprint_digest_is_deterministic_fnv():
     [(2, 1, 4), (5, 1, 3), (3, 1, 4), (2, 2, 3), (2, 11, 2)]))
 def test_table_digest_equals_the_byte_route(data, pen):
     # one table step per entry against FNV-1a over the JSON bytes, on any
-    # value sequence up to a fingerprint's length: the first entry is not
-    # forced to 1, zeros come often, and (2,11,2) has no log tables
+    # value sequence up to a fingerprint's length and on batches of 0 to 5
+    # sequences of one length: the first entry is not forced to 1, zeros
+    # come often, and (2,11,2) has no log tables
     t = gf.build_tower(*pen)
     value = st.just(0) | st.integers(0, t.order - 1)
     vals = data.draw(st.lists(value, max_size=1 << t.n))
     for seq in (vals, tuple(vals), ()):
         assert fingerprint_digest(t, seq) == fnv1a64(fingerprint_to_bytes(t, seq))
+    length = data.draw(st.integers(0, 1 << t.n))
+    batch = data.draw(st.lists(st.lists(value, min_size=length,
+                                        max_size=length), max_size=5))
+    assert fingerprint_digests(t, batch) == \
+        [fnv1a64(fingerprint_to_bytes(t, seq)) for seq in batch]
+
+
+def test_batch_digest_refuses_mixed_lengths():
+    t = gf.build_tower(2, 1, 3)
+    for batch in ([[1, 2], [1]], [[], [0]], [(1,) * 8, (1,) * 8, (1,) * 4]):
+        with pytest.raises(ValueError):
+            fingerprint_digests(t, batch)
+    assert fingerprint_digests(t, []) == []
+    assert fingerprint_digests(t, [[], ()]) == [fnv1a64(b"[]")] * 2
+    # a batch of several blocks, and a short fingerprint in a later block
+    rng = random.Random(3)
+    fps = [[rng.randrange(t.order) for _ in range(8)] for _ in range(2500)]
+    assert fingerprint_digests(t, fps) == \
+        [fnv1a64(fingerprint_to_bytes(t, fp)) for fp in fps]
+    with pytest.raises(ValueError):
+        fingerprint_digests(t, fps + [fps[0][:4]])
 
 
 def test_table_digest_fills_at_most_one_entry_per_step(monkeypatch):
     # a first digest costs no more byte steps than the byte route, in a
     # field of any order: each step fills at most one table entry, and a
-    # value gets a table only when it recurs
-    monkeypatch.setattr(dickson, "_DIGESTS", {})
+    # value gets a table only when it recurs.  The batch gets the sequence
+    # cut into rows of 8, which it walks one column at a time
     t = gf.build_tower(3, 1, 6)
     rng = random.Random(5)
     seq = rng.sample(range(t.order), 40)
     seq += seq[:8] * 3
-    assert fingerprint_digest(t, seq) == fnv1a64(fingerprint_to_bytes(t, seq))
-    (_, steps), = dickson._DIGESTS.values()
-    tables = [step[1] for step in steps.values() if step]
-    assert 0 < len(tables) <= 8
-    assert 0 < sum(x != 0 for c in tables for x in c) <= 63
+    for rows in ([seq], [seq[k:k + 8] for k in range(0, len(seq), 8)]):
+        monkeypatch.setattr(dickson, "_DIGESTS", {})
+        assert fingerprint_digests(t, rows) == \
+            [fnv1a64(fingerprint_to_bytes(t, row)) for row in rows]
+        (_, steps), = dickson._DIGESTS.values()
+        tables = [step[1] for step in steps.values() if step]
+        assert 0 < len(tables) <= 8
+        assert 0 < sum(x != 0 for c in tables for x in c) \
+            <= len(seq) - len(rows)
 
 
 def test_digest_tables_stop_at_the_cap(monkeypatch):
     # with the cap set low, a tower's entry holds at most that many values,
-    # and the values past it take the byte route with the same digest; the
-    # real cap sits above every value of the benchmarked towers
+    # and the values past it take the byte route with the same digest; a
+    # value seen before the cap filled still gets its table when it recurs,
+    # which the batch's column order needs.  The real cap sits above every
+    # value of the benchmarked towers
     assert gf.build_tower(5, 1, 3).order < dickson._DIGEST_VALUES
-    monkeypatch.setattr(dickson, "_DIGESTS", {})
     monkeypatch.setattr(dickson, "_DIGEST_VALUES", 6)
     t = gf.build_tower(3, 1, 3)
     rng = random.Random(7)
     fps = [DicksonMatrix(t, [rng.randrange(t.order) for _ in range(3)])
            .fingerprint() for _ in range(60)]
-    for fp in fps + fps:
-        assert fingerprint_digest(t, fp) == \
-            fnv1a64(fingerprint_to_bytes(t, fp))
-    (_, steps), = dickson._DIGESTS.values()
-    assert len(steps) == 6 < len({v for fp in fps for v in fp[1:]})
-    assert any(steps.values())
+    want = [fnv1a64(fingerprint_to_bytes(t, fp)) for fp in fps]
+    for batched in (False, True):
+        monkeypatch.setattr(dickson, "_DIGESTS", {})
+        for _ in range(2):
+            assert (fingerprint_digests(t, fps) if batched else
+                    [fingerprint_digest(t, fp) for fp in fps]) == want
+        (_, steps), = dickson._DIGESTS.values()
+        assert len(steps) == 6 < len({v for fp in fps for v in fp[1:]})
+        assert all(steps.values())
 
 
 # ---------------------------------------------------------------------------
