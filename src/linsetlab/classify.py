@@ -837,8 +837,8 @@ def _scan_buckets(tower: FieldTower, budget: Optional[int],
 
 
 def _name_buckets(digests: Sequence[int], groups: Iterable[List[int]]):
-    """([(key, ids)] in key order, digest_collisions) for the groups' ids:
-    a key is the digest in 16 hex digits, -1, -2, ... by first member."""
+    """([(key, ids)] in key order, digest_collisions): a key is the 16-hex-digit
+    digest, suffixed -1, -2, ... by first member where digests collide."""
     members, collisions, last, idx = [], 0, None, 0
     for digest, ids in sorted(zip(digests, groups)):
         idx, last = (idx + 1 if digest == last else 0), digest
