@@ -29,6 +29,7 @@ from .errors import (
     BudgetExceededError,
     DecompositionFailedError,
     NotEqualSetsError,
+    TooLargeError,
 )
 from .gf import FieldTower, build_tower, enumeration_budget
 from .linpoly import (
@@ -435,11 +436,17 @@ def replay_verdict(f: LinearizedPolynomial, g: LinearizedPolynomial,
 # canonical representatives under the twist action
 # ---------------------------------------------------------------------------
 
+def _need_log_tables(tower: FieldTower) -> None:
+    if not tower.has_tables:
+        raise TooLargeError("twist orbits need log tables (order above table cap)")
+
+
 @functools.lru_cache(maxsize=None)
 def _twist_tables(tower: FieldTower) -> tuple:
     """Per tail index i, the smallest packed value of each residue class of
     discrete logs modulo gcd(q^i - 1, q^n - 1): a twist moves log a_i by
     multiples of q^i - 1, so a_i reaches exactly its class."""
+    _need_log_tables(tower)
     exp, onum = tower._exp, tower._onum
     return (None,) + tuple(tuple(min(exp[r::g0]) for r in range(g0))
                            for g0 in (math.gcd(tower.q ** i - 1, onum)
@@ -487,6 +494,26 @@ def _twist_canonical_form(tower: FieldTower, coeffs: Sequence[int],
                for L in range(L0, onum // (tower.q - 1), period))
 
 
+def _orbit_tails(tower: FieldTower, tail: Sequence[int]) -> List[int]:
+    """Tail ids of the twists of tail (coefficients 1..n-1), itself first.
+    The twist b_i = a_i*lam^(q^i - 1) conjugates the Dickson matrix by
+    diag(lam, lam^q, ...), so an orbit shares its principal minors for
+    every a_0.  For lam = g^L, log b_i = log a_i + L*(q^i - 1), and lam in
+    F_q^* fixes every tail, so L < (q^n - 1)/(q - 1) reaches every member;
+    past the gcd filter (on the support, so on whole orbits) F_q^* is the
+    whole stabilizer and each member comes once."""
+    _need_log_tables(tower)
+    exp, log, onum, order = tower._exp, tower._log, tower._onum, tower.order
+    walk = range(onum // (tower.q - 1))
+    members = [0] * len(walk)
+    for i, a in enumerate(tail, 1):
+        if a:
+            la, step, w = log[a], tower.q ** i - 1, order ** (i - 1)
+            members = [m + w * exp[(la + L * step) % onum]
+                       for m, L in zip(members, walk)]
+    return members
+
+
 # ---------------------------------------------------------------------------
 # bucket search
 # ---------------------------------------------------------------------------
@@ -526,56 +553,36 @@ def _candidate_tails(tower: FieldTower, lo: int, hi: int):
 
 
 def _scan_worker(args):
-    """(fingerprint -> ids of one chunk's kept candidates, unsorted; member
-    tail id -> tail id of its twist form).  The id (c0, tail) is keyed as
-    the shift f + c0*x of its tail's zero-diagonal matrix.  A full scan
-    (ids None) walks twist orbits: b_i = a_i*lam^(q^i - 1) conjugates the
-    Dickson matrix by diag(lam, lam^q, ...).  Each twist-canonical tail of
-    the range (among its _candidate_tails) passing the gcd filter (on the
-    support, so on whole orbits) keys every id of its orbit, most outside
-    the range, and is each member's form; for lam = g^L, log b_i = log a_i
-    + L*(q^i - 1), and the filter leaves F_q^* as stabilizer, so
-    L < (q^n - 1)/(q - 1) meets each member once (under modulo_twist the
-    orbit is the form alone).  A sampled scan filters once per run of ids
-    sharing a tail; a lone id takes the determinant route, cheaper than a
-    shift table."""
+    """fingerprint -> ids of one chunk's kept candidates, unsorted.  The id
+    (c0, tail) is keyed as the shift f + c0*x of its tail's zero-diagonal
+    matrix.  A full scan (ids None) keys, from each twist-canonical tail of
+    the range (among its _candidate_tails) passing the gcd filter, every
+    id of its _orbit_tails, most outside the range (under modulo_twist the
+    tail alone).  A sampled scan filters once per run of ids sharing a
+    tail; a lone id takes the determinant route, cheaper than a shift
+    table."""
     descriptor, lo, hi, ids, modulo_twist = args
     tower = build_tower(*descriptor)
     order = tower.order
     mins = _twist_tables(tower) if modulo_twist or ids is None else None
     groups: Dict[Tuple[int, ...], List[int]] = {}
-    forms: Dict[int, int] = {}
     if ids is None:
-        exp, log, onum = tower._exp, tower._log, tower._onum
-        walk = range(onum // (tower.q - 1))
         for tid in _candidate_tails(tower, lo // order, hi // order):
             tail = _tail_filtered(tower, tid, mins)
             if tail is None:
                 continue
             base = DicksonMatrix(tower, [0] + tail)
-            if modulo_twist:
-                members = [tid]
-            else:
-                members = [0] * len(walk)
-                for i, a in enumerate(tail, 1):
-                    if a:
-                        la, step, w = log[a], tower.q ** i - 1, order ** (i - 1)
-                        members = [m + w * exp[(la + L * step) % onum]
-                                   for m, L in zip(members, walk)]
-            for m in members:
-                forms[m] = tid
+            for m in [tid] if modulo_twist else _orbit_tails(tower, tail):
                 for c0 in range(order):
                     groups.setdefault(base.fingerprint(c0),
                                       []).append(m * order + c0)
-        return groups, forms
+        return groups
     k = 0
     while k < len(ids):
         tid = ids[k] // order
         end = bisect.bisect_left(ids, (tid + 1) * order, k)
         tail = _tail_filtered(tower, tid, mins)
         if tail is not None:
-            if modulo_twist:
-                forms[tid] = tid
             if end - k > 1:
                 base = DicksonMatrix(tower, [0] + tail)
                 for pid in ids[k:end]:
@@ -585,50 +592,39 @@ def _scan_worker(args):
                 fp = DicksonMatrix(tower, [ids[k] % order] + tail).fingerprint()
                 groups.setdefault(fp, []).append(ids[k])
         k = end
-    return groups, forms
+    return groups
 
 
-def _tail_form(tower: FieldTower, tid: int, forms: Dict[int, int]) -> int:
-    """Tail id of the twist form of (0,) + the tail of tail id tid, read
-    from forms (tail id -> form tail id) or computed and added to it; a_0
-    is fixed by every twist and by the adjoint, so the form of (c0,) + tail
-    is (c0,) + that form."""
-    if tid not in forms:
-        form = _twist_canonical_form(tower, _id_coeffs(
-            tower, tid * tower.order), _twist_tables(tower))
-        forms[tid] = poly_to_id(LinearizedPolynomial(tower, form)) // tower.order
-    return forms[tid]
-
-
-def _twist_classes(tower: FieldTower, ids: Sequence[int],
-                   forms: Dict[int, int]):
+def _twist_classes(tower: FieldTower, ids: Sequence[int]):
     """Settle the scalar and perp pairs of one bucket by twist class.
 
-    Members (ids) with one canonical form are twists of one another, so
-    each class gives C(c, 2) multiple pairs; the adjoint of a twist is a
-    twist of the adjoint, so one adjoint form per class finds the classes
-    whose c_A * c_B cross pairs are perp_multiple.  A class is named by the
-    id of its form.  Forms are read from forms by _tail_form, which
-    computes and adds only the tails it lacks: a full scan hands over
-    every member tail's form, adjoint form tails included (A^T has A's
-    principal minors), so none.  Returns (case counts, pairs (x, y) left
-    for the full classifier, x < y)."""
+    Members (ids) are twists of one another exactly when they share a_0
+    (every twist fixes it) and their tails share a twist orbit, so each
+    class gives C(c, 2) multiple pairs; the adjoint of a twist is a twist
+    of the adjoint, and fixes a_0 too, so the adjoint of one member per
+    class finds the classes whose c_A * c_B cross pairs are perp_multiple.
+    A class is named by a_0 and the smallest tail id of its orbit; one
+    _orbit_tails walk labels every member of an orbit.  Returns (case
+    counts, pairs (x, y) left for the full classifier, x < y)."""
     order = tower.order
-    form_of = {tid: _tail_form(tower, tid, forms)
-               for tid in dict.fromkeys(pid // order for pid in ids)}
-    adjoints: Dict[int, int] = {}
-    for f in dict.fromkeys(form_of.values()):
-        a = poly_to_id(LinearizedPolynomial(tower, _adjoint_coeffs(
-            tower, _id_coeffs(tower, f * order)))) // order
-        adjoints[f] = _tail_form(tower, a, forms)
+    labels: Dict[int, int] = {}
+
+    def label(tid: int) -> int:
+        if tid not in labels:
+            orbit = _orbit_tails(tower, _id_coeffs(tower, tid * order)[1:])
+            labels.update(dict.fromkeys(orbit, min(orbit)))
+        return labels[tid]
+
     cls: List[int] = []
     classes: Dict[int, int] = {}
     adj_ids: List[int] = []
     for pid in ids:
         tid, c0 = divmod(pid, order)
-        k = classes.setdefault(c0 + form_of[tid] * order, len(classes))
+        k = classes.setdefault(c0 + label(tid) * order, len(classes))
         if k == len(adj_ids):
-            adj_ids.append(c0 + adjoints[form_of[tid]] * order)
+            adj = poly_to_id(LinearizedPolynomial(tower, _adjoint_coeffs(
+                tower, _id_coeffs(tower, tid * order)))) // order
+            adj_ids.append(c0 + label(adj) * order)
         cls.append(k)
     sizes = Counter(cls)
     adj = [classes.get(a) for a in adj_ids]
@@ -644,8 +640,7 @@ def _twist_classes(tower: FieldTower, ids: Sequence[int],
     return {k: v for k, v in cases.items() if v}, pending
 
 
-def _classify_bucket(tower: FieldTower, ids: Sequence[int], paranoid: bool,
-                     forms: Dict[int, int]):
+def _classify_bucket(tower: FieldTower, ids: Sequence[int], paranoid: bool):
     """(case counts, anomalies (x, y, reason) by member position,
     set_linearity or None) of the bucket with members ids."""
     cases: Dict[str, int] = {}
@@ -658,7 +653,7 @@ def _classify_bucket(tower: FieldTower, ids: Sequence[int], paranoid: bool,
         # scalar and perp pairs are exactly the twist-orbit matches, so
         # the twist classes settle them without the quadratic
         # diagonal-similarity sweep
-        cases, pending = _twist_classes(tower, ids, forms)
+        cases, pending = _twist_classes(tower, ids)
     need = range(len(ids)) if paranoid else {k for xy in pending for k in xy}
     polys = {x: poly_from_id(tower, ids[x]) for x in need}
     if pending:
@@ -695,14 +690,14 @@ def _classify_worker(args):
     commuting with the twist and the adjoint, and bucket members share a_0,
     so buckets with equal member tails have equal results: outside
     paranoid, a later one takes the first's, anomalies moved to its ids."""
-    descriptor, items, paranoid, forms = args
+    descriptor, items, paranoid = args
     tower = build_tower(*descriptor)
     done: Dict[Tuple[int, ...], tuple] = {}
     results = []
     for key, ids in items:
         tails = tuple(map(tower.order.__rfloordiv__, ids))
         if paranoid or tails not in done:
-            done[tails] = _classify_bucket(tower, ids, paranoid, forms)
+            done[tails] = _classify_bucket(tower, ids, paranoid)
         cases, anomalies, lin = done[tails]
         results.append((key, cases, tuple(
             (ids[x], ids[y], why) for x, y, why in anomalies)
@@ -788,25 +783,21 @@ def _run_chunks(worker, chunk_args: Iterable, count: int, workers: int):
             yield res
 
 
-def _check_scan(tower: FieldTower, budget: Optional[int], workers: int,
-                full: bool) -> None:
-    """Refuse workers below 1, then a full scan's order^n ids over budget."""
+def _check_scan(budget: Optional[int], workers: int, count: int) -> None:
+    """Refuse workers below 1, then count ids to scan over budget."""
     if workers < 1:
         raise BadParametersError(f"workers must be at least 1, got {workers}")
-    total = tower.order ** tower.n
     limit = enumeration_budget() if budget is None else budget
-    if full and total > limit:
+    if count > limit:
         raise BudgetExceededError(
-            f"{total} candidate polynomials exceed the budget {limit}")
+            f"{count} candidate polynomials exceed the budget {limit}")
 
 
-def _scan_buckets(tower: FieldTower, budget: Optional[int],
-                  id_list: Optional[List[int]], modulo_twist: bool,
-                  workers: int, progress: Optional[Callable[[int, int], None]]):
+def _scan_buckets(tower: FieldTower, id_list: Optional[List[int]],
+                  modulo_twist: bool, workers: int,
+                  progress: Optional[Callable[[int, int], None]]):
     """Scan id_list (every id when None) and bucket the kept candidates by
-    exact fingerprint; returns (visited, {fingerprint: ascending ids},
-    {tail id: form tail id} as the chunks hand them over)."""
-    _check_scan(tower, budget, workers, id_list is None)
+    exact fingerprint; returns (visited, {fingerprint: ascending ids})."""
     total = tower.order ** tower.n
     descriptor = (tower.p, tower.e, tower.n, tower.modulus)
     if id_list is None:
@@ -820,20 +811,18 @@ def _scan_buckets(tower: FieldTower, budget: Optional[int],
                       for k in range(0, len(id_list), step)]
     visited = total if id_list is None else len(id_list)
     groups: Dict[Tuple[int, ...], List[int]] = {}
-    forms: Dict[int, int] = {}
     next_tick = PROGRESS_EVERY
-    for k, (res, res_forms) in enumerate(_run_chunks(
+    for k, res in enumerate(_run_chunks(
             _scan_worker, chunk_args, len(chunk_args), workers)):
         for fp, ids in res.items():
             groups.setdefault(fp, []).extend(ids)
-        forms.update(res_forms)
         done = min((k + 1) * step, visited)
         if progress is not None and done >= next_tick:
             progress(done, visited)
             next_tick += PROGRESS_EVERY
     for ids in groups.values():  # a full scan's orbits cross the chunks
         ids.sort()
-    return visited, groups, forms
+    return visited, groups
 
 
 def _name_buckets(digests: Sequence[int], groups: Iterable[List[int]]):
@@ -869,11 +858,13 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
         raise BadParametersError(f"sample must be at least 1, got {sample}")
     if sample is not None and total >= 1 << 63:  # beyond random.sample
         raise BadParametersError(f"sample needs under 2^63 ids, got {total}")
+    drawn = total if sample is None else min(sample, total)
+    _check_scan(budget, workers, drawn)
 
     id_list = None if sample is None else sorted(random.Random(0).sample(
-        range(total), min(sample, total)))
-    visited, groups, forms = _scan_buckets(tower, budget, id_list,
-                                           modulo_twist, workers, progress)
+        range(total), drawn))
+    visited, groups = _scan_buckets(tower, id_list, modulo_twist, workers,
+                                    progress)
     digests = fingerprint_digests(tower, list(groups))
     bucket_members, collisions = _name_buckets(digests, groups.values())
     alerts: List[str] = []
@@ -888,16 +879,8 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
 
     work_items = [(key, ids) for key, ids in bucket_members
                   if len(ids) > 1 or tower.order <= LINEARITY_CHECK_ORDER]
-    order = tower.order
-    chunks = _classify_chunks(work_items, order)
-    # each chunk's forms come from one bucket per first member tail: in a
-    # full scan the others are its translates, with the same tails, and
-    # _tail_form fills in what a sampled scan's slice lacks
-    cls_args = (((p, e, n, tower.modulus), chunk, paranoid,
-                 {tid: forms[tid]
-                  for ids in {ids[0] // order: ids for _, ids in chunk}.values()
-                  for tid in (pid // order for pid in ids) if tid in forms})
-                for chunk in chunks)
+    chunks = _classify_chunks(work_items, tower.order)
+    cls_args = (((p, e, n, tower.modulus), chunk, paranoid) for chunk in chunks)
     # chunks run in tail order; the report below follows key order
     results = {r[0]: r for res in _run_chunks(_classify_worker, cls_args,
                                               len(chunks), workers)
@@ -975,11 +958,11 @@ def verify_club_uniqueness(p: int, e: int, n: int,
     if n < 3:
         raise BadParametersError("club uniqueness needs n >= 3")
     tower = build_tower(p, e, n, modulus)
-    _check_scan(tower, budget, workers, True)
+    _check_scan(budget, workers, tower.order ** n)
     # the scan's gcd filter drops only F_(q^d)-linear graphs (d > 1), whose
     # sets have at most (q^n-1)/(q^d-1) < q^(n-1)+1 points, fewer than a club
-    _, groups, _ = _scan_buckets(
-        tower, budget, [tid * tower.order for tid in _candidate_tails(
+    _, groups = _scan_buckets(
+        tower, [tid * tower.order for tid in _candidate_tails(
             tower, 0, tower.order ** (n - 1))], True, workers, progress)
     return not any(len(ids) > 1 and any(is_club_coeffs(
         tower, _id_coeffs(tower, pid)) for pid in ids)

@@ -185,7 +185,10 @@ class FieldTower:
         if modulus is None:
             modulus = canonical_modulus(p, self.m)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(int(c) for c in modulus)
+            if not all(0 <= c < p for c in modulus):
+                raise BadParametersError(
+                    f"modulus digits {list(modulus)} must lie in [0, {p})")
             if len(modulus) != self.m + 1 or modulus[-1] != 1:
                 raise BadParametersError(
                     f"modulus must be monic of degree e*n = {self.m}")
@@ -628,7 +631,7 @@ _tower_cache = {}
 def build_tower(p: int, e: int, n: int,
                 modulus: Optional[Sequence[int]] = None) -> FieldTower:
     """Build (or fetch a cached) tower; deterministic for fixed inputs."""
-    key = (p, e, n, tuple(int(c) % p for c in modulus) if modulus is not None else None)
+    key = (p, e, n, tuple(int(c) for c in modulus) if modulus is not None else None)
     tower = _tower_cache.get(key)
     if tower is None:
         tower = FieldTower(p, e, n, modulus)

@@ -4,11 +4,12 @@ import functools
 import json
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linsetlab import classify, linalg, linset
+from linsetlab import classify, gf, linalg, linset
 from linsetlab.classify import (
     PairVerdict,
     _detect_generalized,
@@ -27,6 +28,7 @@ from linsetlab.errors import (
     BadParametersError,
     BudgetExceededError,
     NotEqualSetsError,
+    TooLargeError,
 )
 from linsetlab.gf import build_tower
 from linsetlab.linpoly import (
@@ -515,25 +517,24 @@ def test_twist_classes_settle_the_pairs_of_the_per_pair_forms():
                       f.adjoint().twist(rng.choice(units))]
         polys = rng.sample(polys, rng.randrange(2, len(polys) + 1))
         canon = [_twist_canonical_form(t, f.coeffs, data) for f in polys]
-        canon_adj = [_twist_canonical_form(t, f.adjoint().coeffs, data)
-                     for f in polys]
-        cases, pending = {}, []
-        for x in range(len(polys)):
-            for y in range(x + 1, len(polys)):
-                if canon[x] == canon[y]:
-                    cases["multiple"] = cases.get("multiple", 0) + 1
-                elif canon_adj[x] == canon[y]:
-                    cases["perp_multiple"] = cases.get("perp_multiple", 0) + 1
-                else:
-                    pending.append((x, y))
-        ids = [poly_to_id(f) for f in polys]
-        assert classify._twist_classes(t, ids, {}) == (cases, pending)
-        # members that are already canonical are their own forms
-        reps = [poly_to_id(LinearizedPolynomial(t, c))
-                for c in dict.fromkeys(canon)]
-        own = {pid // t.order: pid // t.order for pid in reps}
-        assert classify._twist_classes(t, reps, own) == \
-            classify._twist_classes(t, reps, {})
+        # and a bucket of canonical members alone, one per orbit
+        reps = [LinearizedPolynomial(t, c) for c in dict.fromkeys(canon)]
+        for members in (polys, reps):
+            canon = [_twist_canonical_form(t, f.coeffs, data) for f in members]
+            canon_adj = [_twist_canonical_form(t, f.adjoint().coeffs, data)
+                         for f in members]
+            cases, pending = {}, []
+            for x in range(len(members)):
+                for y in range(x + 1, len(members)):
+                    if canon[x] == canon[y]:
+                        cases["multiple"] = cases.get("multiple", 0) + 1
+                    elif canon_adj[x] == canon[y]:
+                        cases["perp_multiple"] = \
+                            cases.get("perp_multiple", 0) + 1
+                    else:
+                        pending.append((x, y))
+            ids = [poly_to_id(f) for f in members]
+            assert classify._twist_classes(t, ids) == (cases, pending)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -554,8 +555,8 @@ def test_twist_forms_depend_on_the_tail_only(data, pen):
 
 
 def test_full_search_takes_one_twist_form_per_tail(monkeypatch):
-    # a full scan hands every member tail's form to the classify phase,
-    # adjoint form tails included, so that phase takes none.  The scan's
+    # the classify phase names twist classes by orbit walks, so it takes no
+    # twist form in any search: full, modulo_twist or sampled.  The scan's
     # twist filter takes a form only for a kept tail whose leading
     # coefficient is the minimum of its residue class: 302 of the 4,080
     # kept tails at (2,1,4)
@@ -595,6 +596,9 @@ def test_full_search_takes_one_twist_form_per_tail(monkeypatch):
         leading += cs[i0] == res[t._log[cs[i0]] % len(res)]
     assert len(tails) == 4080 and leading == 302
     assert calls["_scan_worker"] == leading
+    for kwargs in ({"modulo_twist": True}, {"sample": 20000}):
+        rep = bucket_search(2, 1, 4, **kwargs)
+        assert rep.pair_count > 0 and calls["_classify_worker"] == 0
 
 
 # -- bucket search ---------------------------------------------------------------
@@ -684,7 +688,7 @@ def test_run_chunks_bounds_the_pool(monkeypatch):
         json.dumps(bucket_search(2, 1, 3).to_json(), sort_keys=True)
 
 
-def test_bucket_search_budget_and_sample():
+def test_bucket_search_budget_and_sample(monkeypatch):
     with pytest.raises(BudgetExceededError):
         bucket_search(2, 1, 6, budget=1000)
     r1 = bucket_search(2, 1, 6, budget=1000, sample=300)
@@ -693,9 +697,37 @@ def test_bucket_search_budget_and_sample():
     assert r1.params["visited"] == 300
     assert r1.total_ids == 64 ** 6
     # order 2^22 has no log tables, so no twist tables: a sample whose
-    # buckets are all single needs none
+    # buckets are all single needs none, and the twist filter says in one
+    # line that it needs them, not with a TypeError
     r3 = bucket_search(2, 11, 2, sample=50)
     assert r3.scanned == r3.bucket_count == 50
+    with pytest.raises(TooLargeError, match="log tables"):
+        bucket_search(2, 11, 2, sample=50, modulo_twist=True)
+    # the budget bounds the min(sample, order^n) ids a search visits, and
+    # is checked, after workers, before the sample is drawn
+    assert bucket_search(2, 1, 3, budget=512, sample=10 ** 9).params[
+        "visited"] == 512
+
+    def no_draw(*args):
+        raise AssertionError("sample drawn before the checks")
+
+    monkeypatch.setattr(classify, "random", types.SimpleNamespace(Random=no_draw))
+    with pytest.raises(BudgetExceededError, match="^1001 candidate"):
+        bucket_search(2, 1, 6, budget=1000, sample=1001)
+    with pytest.raises(BadParametersError, match="workers"):
+        bucket_search(2, 1, 6, budget=1000, sample=1001, workers=0)
+
+
+def test_orbit_walk_without_log_tables_is_a_too_large_error(monkeypatch):
+    # a plain sample walks orbits only in buckets of several members; 300
+    # ids at (2,2,3), order 64, make some, on a fresh tower without tables
+    assert max(b["size"] for b in bucket_search(
+        2, 2, 3, sample=300).buckets.values()) > 1
+    monkeypatch.setattr(gf, "_TABLE_CAP", 32)
+    monkeypatch.setattr(gf, "_tower_cache", {})
+    assert not build_tower(2, 2, 3).has_tables
+    with pytest.raises(TooLargeError, match="log tables"):
+        bucket_search(2, 2, 3, sample=300)
 
 
 def test_set_linearity_runs_on_every_bucket_only_at_small_orders():
@@ -834,7 +866,7 @@ def test_buckets_are_the_slope_set_classes(pen):
     # no fingerprint on this side.  f(x)/x = c0 + g(x)/x for the tail g,
     # so each tail's slopes are computed once and translated per c0
     t = build_tower(*pen)
-    _, groups, _ = classify._scan_buckets(t, None, None, False, 1, None)
+    _, groups = classify._scan_buckets(t, None, False, 1, None)
     members = list(groups.items())
     tail_slopes = {}
     by_slopes = {}
@@ -906,8 +938,7 @@ def test_sharing_results_among_translates_changes_nothing(monkeypatch, pen,
     t = build_tower(*pen)
     ids = None if sample is None else sorted(
         random.Random(0).sample(range(t.order ** t.n), sample))
-    _, groups, forms = classify._scan_buckets(t, None, ids, modulo_twist, 1,
-                                              None)
+    _, groups = classify._scan_buckets(t, ids, modulo_twist, 1, None)
     items, _ = classify._name_buckets(
         classify.fingerprint_digests(t, list(groups)), groups.values())
     chunks = classify._classify_chunks(items, t.order)
@@ -916,8 +947,8 @@ def test_sharing_results_among_translates_changes_nothing(monkeypatch, pen,
     assert sum(map(len, first_tails)) == len(set().union(*first_tails))
     twist_classes, lin_calls = classify._twist_classes, []
 
-    def one_left(tower, ids, forms):
-        cases, pending = twist_classes(tower, ids, forms)
+    def one_left(tower, ids):
+        cases, pending = twist_classes(tower, ids)
         return cases, pending + [(0, len(ids) - 1)]
 
     def counted_set_linearity(sub):
@@ -932,8 +963,7 @@ def test_sharing_results_among_translates_changes_nothing(monkeypatch, pen,
     def run(chunks, paranoid):
         lin_calls.clear()
         return {key: rest for chunk in chunks for key, *rest in
-                classify._classify_worker((descriptor, chunk, paranoid,
-                                           dict(forms)))}
+                classify._classify_worker((descriptor, chunk, paranoid))}
 
     shared = run(chunks, False)
     tails = {tuple(pid // t.order for pid in ids) for _, ids in items}
@@ -1000,18 +1030,17 @@ def test_full_scan_chunks_key_each_kept_id_once(monkeypatch, pen,
         return res
 
     monkeypatch.setattr(classify, "_scan_worker", recording_scan)
-    _, groups, _ = classify._scan_buckets(t, None, None, modulo_twist, 1,
-                                          None)
+    _, groups = classify._scan_buckets(t, None, modulo_twist, 1, None)
     assert len(results) > 1 or t.order ** t.n <= classify.SCAN_CHUNK
     tables = _twist_tables(t)
     kept = [pid for pid in range(t.order ** t.n)
             if classify._tail_filtered(t, pid // t.order,
                                        tables if modulo_twist else None)
             is not None]
-    emitted = sorted(pid for res, _ in results for ids in res.values()
+    emitted = sorted(pid for res in results for ids in res.values()
                      for pid in ids)
     assert emitted == kept
-    for res, _ in results:
+    for res in results:
         for fp, ids in res.items():
             for pid in ids:
                 f = poly_from_id(t, pid)
@@ -1020,49 +1049,75 @@ def test_full_scan_chunks_key_each_kept_id_once(monkeypatch, pen,
     assert sum(map(len, groups.values())) == len(kept)
 
 
-@pytest.mark.parametrize("pen", [(2, 1, 3), (3, 1, 3), (2, 2, 2), (2, 1, 4)])
-def test_full_scan_hands_over_the_form_of_every_kept_tail(pen):
-    # the forms a full scan hands to the classify phase against
-    # _tail_form on an empty memo, the canonical-form route; the adjoint
-    # form tails that _twist_classes looks up must be among them too
-    t = build_tower(*pen)
-    _, _, forms = classify._scan_buckets(t, None, None, False, 1, None)
-    kept = [tid for tid in range(t.order ** (t.n - 1))
-            if classify._tail_filtered(t, tid, None) is not None]
-    assert sorted(forms) == kept
-    assert all(forms[tid] == classify._tail_form(t, tid, {}) for tid in kept)
-    for f in set(forms.values()):
-        adj = _adjoint_coeffs(t, poly_from_id(t, f * t.order).coeffs)
-        assert poly_to_id(LinearizedPolynomial(t, adj)) // t.order in forms
-
-
 @pytest.mark.parametrize("pen, chunks", [
     ((3, 1, 3), None), ((2, 2, 2), None), ((5, 1, 3), 2), ((2, 1, 4), None)])
 def test_orbit_members_from_log_tables_are_the_distinct_twists(pen, chunks):
-    # _scan_worker reaches an orbit's members through log b_i = log a_i +
+    # _orbit_tails reaches an orbit's members through log b_i = log a_i +
     # L*(q^i - 1), L < (q^n - 1)/(q - 1): each canonical kept tail of a
     # chunk's range must get exactly the distinct _twist_coeffs images over
-    # lam in F^*, each member once; q > 2 is where F_q^* fixes tails.  At
-    # (5,1,3), above the default budget, the first chunks stand for all
+    # lam in F^*, itself first and each member once; q > 2 is where F_q^*
+    # fixes tails.  The chunk emits every c0 of every member, no other id.
+    # At (5,1,3), above the default budget, the first chunks stand for all
     t = build_tower(*pen)
     order, tables = t.order, _twist_tables(t)
     step = max(classify.SCAN_CHUNK // order, 1) * order
     for lo in list(range(0, order ** t.n, step))[:chunks]:
         hi = min(lo + step, order ** t.n)
-        groups, forms = classify._scan_worker(
+        groups = classify._scan_worker(
             ((*pen, t.modulus), lo, hi, None, False))
         canon = [tid for tid in range(lo // order, hi // order)
                  if classify._tail_filtered(t, tid, tables) is not None]
-        assert canon and sorted(set(forms.values())) == canon
+        assert canon
+        emitted = []
         for c in canon:
             coeffs = poly_from_id(t, c * order).coeffs
             twists = {poly_to_id(LinearizedPolynomial(
                 t, _twist_coeffs(t, coeffs, lam))) // order
                 for lam in range(1, order)}
-            members = [m for m, f in forms.items() if f == c]
-            assert sorted(members) == sorted(twists)
+            members = classify._orbit_tails(t, coeffs[1:])
+            assert members[0] == c and sorted(members) == sorted(twists)
             assert len(members) == (order - 1) // (t.q - 1)
-        assert sum(map(len, groups.values())) == len(forms) * order
+            emitted += [m * order + c0 for m in members for c0 in range(order)]
+        assert sorted(pid for ids in groups.values() for pid in ids) == \
+            sorted(emitted)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), pen=st.sampled_from(
+    [(2, 1, 4), (3, 1, 3), (5, 1, 3), (2, 2, 3), (3, 1, 4)]),
+    partner=st.sampled_from(["fresh", "twist", "adjoint", "twisted adjoint"]))
+def test_orbit_labels_are_the_twist_forms(data, pen, partner):
+    # _twist_classes names a class by the smallest tail id of its
+    # _orbit_tails walk: two tails get one label exactly when they get one
+    # twist form.  The partner is a fresh tail, a twist, an adjoint or a
+    # twisted adjoint; zeros come often, so that supports the gcd filter
+    # drops and leading indices with a larger stabilizer come up
+    t = build_tower(*pen)
+    tables = _twist_tables(t)
+    coeff = st.just(0) | st.integers(1, t.order - 1)
+    tails = st.lists(coeff, min_size=t.n - 1, max_size=t.n - 1)
+    f = [0] + data.draw(tails)
+    g = [0] + data.draw(tails) if partner == "fresh" else list(f)
+    if "adjoint" in partner:
+        g = _adjoint_coeffs(t, g)
+    if "twist" in partner:
+        g = _twist_coeffs(t, g, data.draw(st.integers(1, t.order - 1)))
+
+    def tail_id(cs):
+        return poly_to_id(LinearizedPolynomial(t, cs)) // t.order
+
+    def label(cs):
+        orbit = classify._orbit_tails(t, cs[1:])
+        assert orbit[0] == tail_id(cs)
+        return min(orbit)
+
+    assert label(f) == min(tail_id(_twist_coeffs(t, f, lam))
+                           for lam in range(1, t.order))
+    assert (label(f) == label(g)) == (
+        _twist_canonical_form(t, f, tables) == _twist_canonical_form(
+            t, g, tables))
+    if partner == "twist":
+        assert label(f) == label(g)
 
 
 def residue_minimum_tails(t):
@@ -1145,7 +1200,7 @@ def test_only_paranoid_buckets_ask_diag_similar(monkeypatch):
     results = {}
     for paranoid in (False, True):
         calls[0] = 0
-        cases, anomalies, _ = classify._classify_bucket(t, ids, paranoid, {})
+        cases, anomalies, _ = classify._classify_bucket(t, ids, paranoid)
         results[paranoid] = (cases, anomalies, calls[0])
     pairs = len(ids) * (len(ids) - 1) // 2
     assert results[False][2] == 0 and results[True][2] == 2 * pairs
@@ -1184,9 +1239,9 @@ def test_sampled_scan_expands_only_tails_shared_by_several_ids(monkeypatch):
 
     monkeypatch.setattr(linalg, "det", counting_det)
     monkeypatch.setattr(DicksonMatrix, "_diagonal_terms", counting_terms)
-    groups, forms = classify._scan_worker(((2, 1, 4), 0, 0, ids, False))
+    groups = classify._scan_worker(((2, 1, 4), 0, 0, ids, False))
     monkeypatch.undo()
-    assert expanded[0] == shared and dets[0] == 5 * len(kept) and not forms
+    assert expanded[0] == shared and dets[0] == 5 * len(kept)
     assert {pid: fp for fp, members in groups.items() for pid in members} == {
         pid: DicksonMatrix.from_poly(poly_from_id(t, pid)).fingerprint()
         for r in kept.values() for pid in r}
@@ -1341,10 +1396,10 @@ def test_verify_club_uniqueness_tests_each_tail_once(monkeypatch):
 def test_club_check_fingerprints_canonical_tails_at_a0_zero(monkeypatch, pen,
                                                            canonical):
     # one determinant-route fingerprint per canonical kept tail: no shift
-    # table and no twist-form lookup; progress counts the a_0 = 0 ids of
+    # table and no twist-orbit walk; progress counts the a_0 = 0 ids of
     # the candidate tails (leading coefficient a residue minimum, or zero)
     t = build_tower(*pen)
-    calls = {"fingerprint": 0, "_shift_table": 0, "_tail_form": 0}
+    calls = {"fingerprint": 0, "_shift_table": 0, "_orbit_tails": 0}
 
     def counting(owner, name):
         fn = getattr(owner, name)
@@ -1356,14 +1411,14 @@ def test_club_check_fingerprints_canonical_tails_at_a0_zero(monkeypatch, pen,
 
     for owner, name in ((DicksonMatrix, "fingerprint"),
                         (DicksonMatrix, "_shift_table"),
-                        (classify, "_tail_form")):
+                        (classify, "_orbit_tails")):
         counting(owner, name)
     monkeypatch.setattr(classify, "PROGRESS_EVERY", 16)
     ticks = []
     assert verify_club_uniqueness(*pen, progress=lambda done, total:
                                   ticks.append(total))
     assert calls == {"fingerprint": canonical, "_shift_table": 0,
-                     "_tail_form": 0}
+                     "_orbit_tails": 0}
     assert ticks and set(ticks) == {len(residue_minimum_tails(t))}
 
 
@@ -1373,20 +1428,24 @@ def test_club_check_fingerprints_canonical_tails_at_a0_zero(monkeypatch, pen,
 def test_club_scan_groups_are_the_twist_classes_of_full_buckets(pen, alone,
                                                                  canonical):
     # the club check's old reading: a canonical kept tail's a_0 = 0 bucket
-    # of the full scan holds one (c0, form) class; its new one: the tail
-    # is alone in its group of the a_0 = 0 scan with the twist filter
+    # of the full scan holds one twist class; its new one: the tail is
+    # alone in its group of the a_0 = 0 scan with the twist filter.  Both
+    # sides name an orbit by its smallest tail id
     t = build_tower(*pen)
     order = t.order
-    _, full, forms = classify._scan_buckets(t, None, None, False, 1, None)
+
+    def label(pid):
+        return min(classify._orbit_tails(t, coeffs_of_id(t, pid)[1:]))
+
+    _, full = classify._scan_buckets(t, None, False, 1, None)
     one_class = {}
     for ids in full.values():
         if ids[0] % order == 0:
-            classes = {classify._tail_form(t, pid // order, forms)
-                       for pid in ids}
+            classes = set(map(label, ids))
             one_class.update(dict.fromkeys(classes, len(classes) == 1))
-    _, groups, _ = classify._scan_buckets(
-        t, None, range(0, order ** t.n, order), True, 1, None)
-    is_alone = {pid // order: len(ids) == 1
+    _, groups = classify._scan_buckets(
+        t, range(0, order ** t.n, order), True, 1, None)
+    is_alone = {label(pid): len(ids) == 1
                 for ids in groups.values() for pid in ids}
     assert is_alone == one_class
     assert (sum(is_alone.values()), len(is_alone)) == (alone, canonical)

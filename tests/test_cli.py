@@ -113,10 +113,13 @@ def test_field_info_budget_env(capsys, monkeypatch):
     ["search", "--sample", "-1"],
     ["search", "--n", "8", "--sample", "300"],  # 2^64 ids to draw from
     ["search", "--n", "13", "--sample", "3"],
+    ["search", "--n", "6", "--budget", "1000", "--sample", "1001"],
+    ["search", "--e", "11", "--n", "2", "--sample", "50", "--modulo-twist"],
     ["field-info", "--e", "0"],
     ["field-info", "--n", "0"],
     ["field-info", "--modulus", "1,1"],
     ["field-info", "--modulus", "1,1,1,1"],
+    ["field-info", "--n", "2", "--modulus", "3,1,1"],  # 3 is no digit at p = 2
     ["verify", "--n", "2"],
     ["show", "--f", "@{tmp}/not_json.txt"],
     ["show", "--f", "@{tmp}/no_coeffs.json"],

@@ -149,6 +149,17 @@ def test_constructor_validation():
         gf.FieldTower(2, 1, 4, modulus=(1, 1, 1))  # wrong degree
 
 
+def test_modulus_digits_outside_the_prime_field_are_refused():
+    # reduced mod p, 3,1,1 would pass at p = 2 as x^2 + x + 1, and a
+    # leading 4 (or a digit -1) at p = 3 as x^2 + 2x + 2, monic
+    for p, modulus in ((2, (3, 1, 1)), (3, (2, 2, 4)), (3, (-1, 2, 1))):
+        with pytest.raises(BadParametersError, match="digits"):
+            gf.FieldTower(p, 1, 2, modulus=modulus)
+        with pytest.raises(BadParametersError, match="digits"):
+            gf.build_tower(p, 1, 2, modulus=modulus)
+    assert gf.build_tower(3, 1, 2, modulus=(2, 2, 1)).modulus == (2, 2, 1)
+
+
 def test_custom_modulus_arithmetic():
     t = gf.build_tower(2, 1, 4, modulus=(1, 1, 0, 0, 1))  # x^4 + x + 1
     x = t.x_int
