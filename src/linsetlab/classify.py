@@ -433,7 +433,7 @@ def replay_verdict(f: LinearizedPolynomial, g: LinearizedPolynomial,
 
 
 # ---------------------------------------------------------------------------
-# canonical representatives under the twist action
+# twist orbits
 # ---------------------------------------------------------------------------
 
 def _need_log_tables(tower: FieldTower) -> None:
@@ -442,56 +442,14 @@ def _need_log_tables(tower: FieldTower) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _twist_tables(tower: FieldTower) -> tuple:
-    """Per tail index i, the smallest packed value of each residue class of
-    discrete logs modulo gcd(q^i - 1, q^n - 1): a twist moves log a_i by
-    multiples of q^i - 1, so a_i reaches exactly its class."""
+def _residue_minima(tower: FieldTower, d: int, g: int) -> tuple:
+    """Smallest packed value of each class of discrete logs modulo
+    (q^n - 1)/(q^d - 1) * (q^g - 1): a twist by lam in F_(q^d)^* moves
+    log a_i, gcd(i, d) = g, by exactly the multiples of that modulus."""
     _need_log_tables(tower)
     exp, onum = tower._exp, tower._onum
-    return (None,) + tuple(tuple(min(exp[r::g0]) for r in range(g0))
-                           for g0 in (math.gcd(tower.q ** i - 1, onum)
-                                      for i in range(1, tower.n)))
-
-
-def _is_twist_canonical(tower: FieldTower, coeffs: Sequence[int],
-                        mins: tuple) -> bool:
-    """True when coeffs is the canonical member of its twist orbit.
-
-    The leading tail coefficient is pushed to the smallest packed value it
-    can reach; ties over the residual stabilizer break by lexicographic
-    comparison of the remaining coefficients.
-    """
-    i0 = next((i for i in range(1, tower.n) if coeffs[i]), None)
-    if i0 is None:
-        return True
-    by_residue = mins[i0]
-    la = tower._log[coeffs[i0]]
-    if coeffs[i0] != by_residue[la % len(by_residue)]:
-        return False
-    return _twist_canonical_form(tower, coeffs, mins) == tuple(coeffs)
-
-
-def _twist_canonical_form(tower: FieldTower, coeffs: Sequence[int],
-                          mins: tuple) -> Tuple[int, ...]:
-    """The unique member of the twist orbit of coeffs that passes
-    _is_twist_canonical; two polynomials are twists of one another (their
-    graphs are scalar multiples) exactly when their forms coincide.  For
-    lam = g^L, log b_i = log a_i + L*(q^i - 1); the form is the smallest
-    twist by the L = L0 + k*(q^n - 1)/g0, g0 = gcd(q^i0 - 1, q^n - 1), that
-    take the leading a_i0 to its residue minimum (those below
-    (q^n - 1)/(q - 1) suffice, as lam in F_q^* fixes every tail)."""
-    i0 = next((i for i in range(1, tower.n) if coeffs[i]), None)
-    if i0 is None:
-        return tuple(coeffs)
-    exp, log, onum = tower._exp, tower._log, tower._onum
-    la, g0 = log[coeffs[i0]], len(mins[i0])
-    period = onum // g0
-    L0 = ((log[mins[i0][la % g0]] - la) // g0
-          * pow((tower.q ** i0 - 1) // g0, -1, period) % period)
-    steps = [tower.q ** i - 1 for i in range(tower.n)]
-    return min(tuple(exp[(log[c] + L * s) % onum] if c else 0
-                     for c, s in zip(coeffs, steps))
-               for L in range(L0, onum // (tower.q - 1), period))
+    m = onum // (tower.q ** d - 1) * (tower.q ** g - 1)
+    return tuple(min(exp[r::m]) for r in range(m))
 
 
 def _orbit_tails(tower: FieldTower, tail: Sequence[int]) -> List[int]:
@@ -519,56 +477,62 @@ def _orbit_tails(tower: FieldTower, tail: Sequence[int]) -> List[int]:
 # ---------------------------------------------------------------------------
 
 def _tail_filtered(tower: FieldTower, tail_id: int,
-                   mins: Optional[tuple]) -> Optional[List[int]]:
+                   twist: bool) -> Optional[List[int]]:
     """Coefficients 1..n-1 shared by every id pid with pid // order ==
-    tail_id, or None when the gcd filter or (given the _twist_tables
-    minima) the twist filter drops them; neither reads coefficient 0."""
-    v = tail_id
-    order = tower.order
-    tail = []
-    gcd_acc = tower.n
-    for i in range(1, tower.n):
+    tail_id, or None when the gcd filter or (given twist) the twist filter
+    drops them; neither reads coefficient 0.  The twist filter keeps the
+    lexicographically smallest tail of each twist orbit: with d = gcd(n,
+    the earlier nonzero indices), the twists fixing every earlier nonzero
+    a_j are lam in F_(q^d)^*, so the greedy minimum takes each later a_i
+    to the smallest value of its _residue_minima class."""
+    v, order, n = tail_id, tower.order, tower.n
+    tail, d = [], n
+    for i in range(1, n):
         v, c = divmod(v, order)
         tail.append(c)
         if c:
-            gcd_acc = math.gcd(gcd_acc, i)
-    if gcd_acc != 1:
-        return None
-    if mins is not None and not _is_twist_canonical(tower, [0] + tail, mins):
-        return None
-    return tail
+            if twist and d > 1:
+                mins = _residue_minima(tower, d, math.gcd(i, d))
+                if mins[tower._log[c] % len(mins)] != c:
+                    return None
+            d = math.gcd(d, i)
+    return tail if d == 1 else None
 
 
 def _candidate_tails(tower: FieldTower, lo: int, hi: int):
     """Tail ids in [lo, hi), ascending, whose leading tail coefficient a_i0
-    is a residue minimum of _twist_tables, plus the zero tail: every
-    twist-canonical tail is one.  Such ids are a*order^(i0-1) +
-    k*order^i0, computed without decoding a tail."""
+    passes the first level of _tail_filtered's residue chain, plus the zero
+    tail: every tail the twist filter keeps is one.  Such ids are
+    a*order^(i0-1) + k*order^i0, computed without decoding a tail."""
+    n = tower.n
     runs = [range(lo, min(hi, 1))]
-    for i0, by_residue in enumerate(_twist_tables(tower)[1:], 1):
+    for i0 in range(1, n):
         w, step = tower.order ** (i0 - 1), tower.order ** i0
         runs += [range(max(a * w, lo + (a * w - lo) % step), hi, step)
-                 for a in by_residue]
+                 for a in _residue_minima(tower, n, math.gcd(i0, n))]
     yield from sorted(itertools.chain.from_iterable(runs))
 
 
 def _scan_worker(args):
     """fingerprint -> ids of one chunk's kept candidates, unsorted.  The id
     (c0, tail) is keyed as the shift f + c0*x of its tail's zero-diagonal
-    matrix.  A full scan (ids None) keys, from each twist-canonical tail of
-    the range (among its _candidate_tails) passing the gcd filter, every
-    id of its _orbit_tails, most outside the range (under modulo_twist the
-    tail alone).  A sampled scan filters once per run of ids sharing a
-    tail; a lone id takes the determinant route, cheaper than a shift
-    table."""
+    matrix.  A full scan (ids None) keys, from each tail of the range that
+    _tail_filtered keeps with the twist filter on (it reads only the
+    _candidate_tails), every id of its _orbit_tails, most outside the
+    range (under modulo_twist the tail alone).  A sampled scan filters
+    once per run of ids sharing a tail, with the twist filter on under
+    modulo_twist; a lone id takes the determinant route, cheaper than a
+    shift table."""
     descriptor, lo, hi, ids, modulo_twist = args
     tower = build_tower(*descriptor)
     order = tower.order
-    mins = _twist_tables(tower) if modulo_twist or ids is None else None
+    twist = modulo_twist or ids is None
+    if twist:
+        _need_log_tables(tower)
     groups: Dict[Tuple[int, ...], List[int]] = {}
     if ids is None:
         for tid in _candidate_tails(tower, lo // order, hi // order):
-            tail = _tail_filtered(tower, tid, mins)
+            tail = _tail_filtered(tower, tid, twist)
             if tail is None:
                 continue
             base = DicksonMatrix(tower, [0] + tail)
@@ -581,7 +545,7 @@ def _scan_worker(args):
     while k < len(ids):
         tid = ids[k] // order
         end = bisect.bisect_left(ids, (tid + 1) * order, k)
-        tail = _tail_filtered(tower, tid, mins)
+        tail = _tail_filtered(tower, tid, twist)
         if tail is not None:
             if end - k > 1:
                 base = DicksonMatrix(tower, [0] + tail)
@@ -847,10 +811,11 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
     fingerprint, and classify all intra-bucket pairs.
 
     Candidates whose function-level field of linearity exceeds F_q are
-    filtered out; with modulo_twist only the canonical member of each twist
-    orbit is kept; with sample=k only a deterministic random sample of k
-    ids is scanned.  The report is independent of the worker count: the id
-    space is cut into fixed chunks and merged in order.
+    filtered out; with modulo_twist only the member of each twist orbit
+    with the lexicographically smallest tail is kept; with sample=k only a
+    deterministic random sample of k ids is scanned.  The report is
+    independent of the worker count: the id space is cut into fixed
+    chunks and merged in order.
     """
     tower = build_tower(p, e, n, modulus)
     total = tower.order ** n
@@ -952,7 +917,7 @@ def verify_club_uniqueness(p: int, e: int, n: int,
     (x, y) -> (x, y + gamma*x) carries buckets onto buckets with the same
     tails, and buckets are unions of twist orbits, which keep clubs
     (b_(i+1)/b_i^q = c*lambda^(q-1) has norm one): so no a_0 = 0 club's
-    canonical tail may share its fingerprint with another canonical tail.
+    kept tail may share its fingerprint with another kept tail.
     The budget bounds all order^n ids; the scan and progress count the a_0
     = 0 ids of the _candidate_tails."""
     if n < 3:

@@ -60,8 +60,7 @@ def parse_coeff(tower: FieldTower, text: str) -> int:
         except json.JSONDecodeError as ex:
             raise CliError(f"bad digit list {text!r}: {ex}") from None
         if (not isinstance(digits, list)
-                or not all(isinstance(d, int) and 0 <= d < tower.p
-                           for d in digits)
+                or not all(type(d) is int and 0 <= d < tower.p for d in digits)
                 or len(digits) > tower.m):
             raise CliError(
                 f"digit list {text!r} must hold at most {tower.m} "
@@ -127,7 +126,7 @@ def parse_int_list(text: str) -> List[int]:
             out = [int(part) for part in text.split(",")]
     except (json.JSONDecodeError, ValueError) as ex:
         raise CliError(f"bad integer list {text!r}: {ex}") from None
-    if not isinstance(out, list) or not all(isinstance(v, int) for v in out):
+    if not isinstance(out, list) or not all(type(v) is int for v in out):
         raise CliError(f"bad integer list {text!r}")
     return out
 

@@ -44,6 +44,14 @@ def enumeration_budget() -> int:
     return budget
 
 
+def _int_digits(values: Iterable, what: str) -> Tuple[int, ...]:
+    """values as a tuple; floats, bools and strings are refused, not read."""
+    digs = tuple(values)
+    if not all(type(c) is int for c in digs):
+        raise BadParametersError(f"{what} digits {list(digs)} must be integers")
+    return digs
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -185,7 +193,7 @@ class FieldTower:
         if modulus is None:
             modulus = canonical_modulus(p, self.m)
         else:
-            modulus = tuple(int(c) for c in modulus)
+            modulus = _int_digits(modulus, "modulus")
             if not all(0 <= c < p for c in modulus):
                 raise BadParametersError(
                     f"modulus digits {list(modulus)} must lie in [0, {p})")
@@ -565,7 +573,7 @@ class FieldTower:
         return FieldElement(self, v)
 
     def from_coeffs(self, coeffs: Iterable[int]) -> "FieldElement":
-        digs = [int(c) for c in coeffs]
+        digs = list(_int_digits(coeffs, "coefficient"))
         if not all(0 <= d < self.p for d in digs):
             raise BadParametersError(
                 f"coefficient digits {digs} must lie in [0, {self.p})")
@@ -631,7 +639,7 @@ _tower_cache = {}
 def build_tower(p: int, e: int, n: int,
                 modulus: Optional[Sequence[int]] = None) -> FieldTower:
     """Build (or fetch a cached) tower; deterministic for fixed inputs."""
-    key = (p, e, n, tuple(int(c) for c in modulus) if modulus is not None else None)
+    key = (p, e, n, None if modulus is None else _int_digits(modulus, "modulus"))
     tower = _tower_cache.get(key)
     if tower is None:
         tower = FieldTower(p, e, n, modulus)

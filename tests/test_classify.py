@@ -13,9 +13,6 @@ from linsetlab import classify, gf, linalg, linset
 from linsetlab.classify import (
     PairVerdict,
     _detect_generalized,
-    _is_twist_canonical,
-    _twist_canonical_form,
-    _twist_tables,
     bucket_search,
     classify_pair,
     is_club_coeffs,
@@ -395,13 +392,46 @@ def test_is_club_coeffs_needs_n_at_least_three():
         is_club_coeffs(t, (0, 1))
 
 
-# -- twist canonicalization ------------------------------------------------------
+# -- the twist filter against brute force ----------------------------------------
+
+
+def twist_form(t, coeffs):
+    """Brute force: the lexicographically smallest of the _twist_coeffs
+    images of coeffs over every lam in F^*.  Every twist fixes a_0, so the
+    tail the twist filter keeps for an orbit is the tail of twist_form(t,
+    [0] + tail)."""
+    return min(tuple(_twist_coeffs(t, coeffs, lam))
+               for lam in range(1, t.order))
+
+
+def support_gcd(t, coeffs):
+    """gcd of n and the tail indices i >= 1 with a_i != 0."""
+    return math.gcd(t.n, *(i for i, c in enumerate(coeffs) if i and c))
+
+
+def tail_id_of(t, coeffs):
+    return poly_to_id(LinearizedPolynomial(t, [0] + list(coeffs[1:]))) \
+        // t.order
+
+
+def check_filters(t, coeffs, low):
+    """_tail_filtered against brute force on the tail of coeffs, whose
+    smallest twist is low: without the twist filter it keeps the tails of
+    linearity gcd 1, with it those that are also their smallest twist."""
+    tail = list(coeffs[1:])
+    coprime = support_gcd(t, coeffs) == 1
+    assert coprime == (LinearizedPolynomial(t, coeffs).linearity_gcd() == 1)
+    tid = tail_id_of(t, coeffs)
+    assert classify._tail_filtered(t, tid, False) == (tail if coprime
+                                                      else None)
+    assert classify._tail_filtered(t, tid, True) == (
+        tail if coprime and tuple(tail) == tuple(low[1:]) else None)
 
 
 def test_twist_canonical_one_per_orbit():
+    # the twist filter keeps one id per twist orbit of linearity gcd 1
     for (p, e, n) in [(2, 1, 3), (3, 1, 2)]:
         t = build_tower(p, e, n)
-        data = _twist_tables(t)
 
         def twist_id(pid, lam):
             cs = coeffs_of_id(t, pid)
@@ -412,60 +442,61 @@ def test_twist_canonical_one_per_orbit():
             return v
 
         orbits = set()
-        canonical = []
+        kept = []
         for pid in range(t.order ** n):
-            orbits.add(min(twist_id(pid, lam) for lam in range(1, t.order)))
-            if _is_twist_canonical(t, coeffs_of_id(t, pid), data):
-                canonical.append(pid)
-        assert len(canonical) == len(orbits)
-        # each canonical id sits in a distinct orbit
+            if support_gcd(t, coeffs_of_id(t, pid)) == 1:
+                orbits.add(min(twist_id(pid, lam)
+                               for lam in range(1, t.order)))
+            if classify._tail_filtered(t, pid // t.order, True) is not None:
+                kept.append(pid)
+        assert len(kept) == len(orbits)
+        # each kept id sits in a distinct orbit
         reps = {min(twist_id(pid, lam) for lam in range(1, t.order))
-                for pid in canonical}
-        assert len(reps) == len(canonical)
+                for pid in kept}
+        assert len(reps) == len(kept)
 
 
 @pytest.mark.parametrize("pen,count", [((2, 1, 3), None), ((3, 1, 3), None),
                                        ((2, 1, 4), None), ((5, 1, 3), 50000),
                                        ((2, 2, 3), 50000)])
 def test_is_twist_canonical_is_the_fixed_points_of_the_form(pen, count):
-    """The residue shortcut of _is_twist_canonical never rejects an id
-    whose canonical form is itself."""
+    """The twist filter keeps an id exactly when its tail has linearity gcd
+    1 and is the smallest twist of itself."""
     t = build_tower(*pen)
-    data = _twist_tables(t)
     total = t.order ** t.n
     ids = (range(total) if count is None
            else random.Random(total).sample(range(total), count))
-    for pid in ids:
-        cs = coeffs_of_id(t, pid)
-        assert _is_twist_canonical(t, cs, data) == (
-            _twist_canonical_form(t, cs, data) == tuple(cs))
+    # the filters read the tail alone, so each tail of the ids is checked
+    # once
+    _check_smallest_twists(t, [coeffs_of_id(t, tid * t.order) for tid in
+                               sorted({pid // t.order for pid in ids})])
 
 
 def test_twist_canonical_form_is_orbit_invariant():
+    # of each orbit, the filter keeps exactly the smallest twist when the
+    # linearity gcd is 1 and no member otherwise, whichever member is drawn
     for (p, e, n) in [(2, 1, 3), (3, 1, 2), (2, 1, 4)]:
         t = build_tower(p, e, n)
-        data = _twist_tables(t)
         rng = random.Random(17 * n + p)
         for _ in range(120):
             f = random_poly(t, rng)
             if not any(f.coeffs[1:]):
                 continue
-            form = _twist_canonical_form(t, f.coeffs, data)
-            # the form passes the membership predicate and is reachable
-            assert _is_twist_canonical(t, form, data)
             orbit = {f.twist(lam).coeffs for lam in range(1, t.order)}
-            assert form in orbit
-            # every orbit member maps to the same form
-            for g in orbit:
-                assert _twist_canonical_form(t, g, data) == form
+            kept = [g for g in orbit if classify._tail_filtered(
+                t, tail_id_of(t, g), True) is not None]
+            assert kept == ([twist_form(t, f.coeffs)]
+                            if f.linearity_gcd() == 1 else [])
+            assert twist_form(t, f.coeffs) in orbit
 
 
 def _check_smallest_twists(t, coeff_lists):
-    # _twist_canonical_form against the lexicographic minimum of the
-    # distinct _twist_coeffs images over every lam in F^*, one orbit at a
-    # time; returns how many forms broke a tie among several twists that
-    # take the leading coefficient to its residue minimum
-    mins, smallest, ties = _twist_tables(t), {}, 0
+    # _tail_filtered, with and without the twist filter, against the
+    # lexicographic minimum of the distinct _twist_coeffs images over every
+    # lam in F^*, one orbit at a time; returns how many tails have several
+    # twists that take the leading coefficient to its residue minimum, so
+    # that a later coefficient breaks the tie
+    smallest, ties = {}, 0
     for cs in coeff_lists:
         key = tuple(cs)
         if key not in smallest:
@@ -476,7 +507,7 @@ def _check_smallest_twists(t, coeff_lists):
             reach = sum(o[i0] == low[i0] for o in orbit)
             smallest.update(dict.fromkeys(orbit, (low, reach)))
         low, reach = smallest[key]
-        assert _twist_canonical_form(t, cs, mins) == low
+        check_filters(t, cs, low)
         ties += reach > 1
     return ties
 
@@ -490,11 +521,12 @@ def test_twist_form_is_the_smallest_twist_of_every_tail(pen):
 
 def test_twist_form_breaks_ties_over_the_whole_coset():
     # at (3,1,4) a_1 = 0 puts the leading coefficient at i0 = 2 (almost
-    # always), where g0 = gcd(3^2 - 1, 3^4 - 1) = 8 > q - 1: eight lam, four
+    # always), where gcd(3^2 - 1, 3^4 - 1) = 8 > q - 1: eight lam, four
     # twists as lam in F_3^* fixes tails, take a_2 to its residue minimum,
-    # and a_3 decides between them (1,952 of the 2,000 tails)
+    # and a_3 decides between them (1,952 of the 2,000 tails): the second
+    # level of the residue chain, d = 2
     t = build_tower(3, 1, 4)
-    assert len(_twist_tables(t)[2]) == 8
+    assert len(classify._residue_minima(t, 4, 2)) == 8
     rng = random.Random(41)
     tails = [[rng.randrange(t.order), 0] + [rng.randrange(t.order)
                                             for _ in range(2)]
@@ -502,12 +534,36 @@ def test_twist_form_breaks_ties_over_the_whole_coset():
     assert _check_smallest_twists(t, tails) == 1952
 
 
+def test_twist_filter_on_every_a1_zero_tail_at_3_1_4():
+    # all 6,561 tails (0, a_2, a_3) at (3,1,4), where the ties sit: a_3
+    # breaks one for each of the 80 x 80 tails with a_2 and a_3 nonzero
+    t = build_tower(3, 1, 4)
+    tails = [[0, 0, a2, a3] for a2 in range(t.order) for a3 in range(t.order)]
+    assert _check_smallest_twists(t, tails) == 6400
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), pen=st.sampled_from(
+    [(2, 1, 4), (3, 1, 4), (2, 1, 6), (2, 2, 4), (3, 1, 6)]),
+       smallest=st.booleans())
+def test_residue_chain_keeps_the_smallest_twist(data, pen, smallest):
+    # the residue chain of _tail_filtered is the greedy lexicographic
+    # minimum over the twists; zeros come often, so that later nonzero
+    # coefficients meet a stabilizer F_(q^d)^* with 1 < d < n.  Half the
+    # draws are replaced by their smallest twist, which must be kept
+    # whenever its linearity gcd is 1
+    t = build_tower(*pen)
+    coeff = st.just(0) | st.integers(1, t.order - 1)
+    cs = [0] + data.draw(st.lists(coeff, min_size=t.n - 1, max_size=t.n - 1))
+    low = twist_form(t, cs)
+    check_filters(t, low if smallest else cs, low)
+
+
 def test_twist_classes_settle_the_pairs_of_the_per_pair_forms():
     # one form and one adjoint form per class against one of each per
     # member: canon[x] == canon[y] is multiple, canon_adj[x] == canon[y]
     # is perp_multiple, and every other pair is left over in (x, y) order
     t = build_tower(2, 1, 5)
-    data = _twist_tables(t)
     rng = random.Random(23)
     units = range(1, t.order)
     for _ in range(25):
@@ -516,13 +572,12 @@ def test_twist_classes_settle_the_pairs_of_the_per_pair_forms():
             polys += [f, f.twist(rng.choice(units)),
                       f.adjoint().twist(rng.choice(units))]
         polys = rng.sample(polys, rng.randrange(2, len(polys) + 1))
-        canon = [_twist_canonical_form(t, f.coeffs, data) for f in polys]
-        # and a bucket of canonical members alone, one per orbit
+        canon = [twist_form(t, f.coeffs) for f in polys]
+        # and a bucket of smallest twists alone, one per orbit
         reps = [LinearizedPolynomial(t, c) for c in dict.fromkeys(canon)]
         for members in (polys, reps):
-            canon = [_twist_canonical_form(t, f.coeffs, data) for f in members]
-            canon_adj = [_twist_canonical_form(t, f.adjoint().coeffs, data)
-                         for f in members]
+            canon = [twist_form(t, f.coeffs) for f in members]
+            canon_adj = [twist_form(t, f.adjoint().coeffs) for f in members]
             cases, pending = {}, []
             for x in range(len(members)):
                 for y in range(x + 1, len(members)):
@@ -542,32 +597,33 @@ def test_twist_classes_settle_the_pairs_of_the_per_pair_forms():
     [(2, 1, 4), (5, 1, 3), (3, 1, 4), (2, 2, 3), (2, 1, 6)]))
 def test_twist_forms_depend_on_the_tail_only(data, pen):
     # a_0 is fixed by every twist and by the adjoint, which is what lets
-    # bucket_search take one form and one adjoint form per tail
+    # the scan filter a tail once for every a_0 and the classify phase
+    # label one orbit and one adjoint orbit per tail
     t = build_tower(*pen)
-    tables = _twist_tables(t)
     coeff = st.just(0) | st.integers(1, t.order - 1)  # zeros often
     c0 = data.draw(coeff)
     tail = data.draw(st.lists(coeff, min_size=t.n - 1, max_size=t.n - 1))
     for op in (list, lambda cs: _adjoint_coeffs(t, cs)):
-        form = _twist_canonical_form(t, op([c0] + tail), tables)
-        assert form == (c0,) + _twist_canonical_form(
-            t, op([0] + tail), tables)[1:]
+        form = twist_form(t, op([c0] + tail))
+        assert form == (c0,) + twist_form(t, op([0] + tail))[1:]
+        check_filters(t, op([c0] + tail), form)
 
 
 def test_full_search_takes_one_twist_form_per_tail(monkeypatch):
-    # the classify phase names twist classes by orbit walks, so it takes no
-    # twist form in any search: full, modulo_twist or sampled.  The scan's
-    # twist filter takes a form only for a kept tail whose leading
-    # coefficient is the minimum of its residue class: 302 of the 4,080
-    # kept tails at (2,1,4)
+    # the classify phase names twist classes by orbit walks, so it filters
+    # no tail in any search: full, modulo_twist or sampled.  A full scan
+    # filters each of its candidate tails once: 306 at (2,1,4), of which
+    # the twist filter keeps 272, one per orbit of the 4,080 kept tails
     t = build_tower(2, 1, 4)
-    form = classify._twist_canonical_form
+    filtered = classify._tail_filtered
     calls, inside = {"_scan_worker": 0, "_classify_worker": 0}, [None]
+    seen = []
 
-    def counting_form(*args):
+    def counting_filter(tower, tid, twist):
         if inside[0] is not None:
             calls[inside[0]] += 1
-        return form(*args)
+            seen.append(tid)
+        return filtered(tower, tid, twist)
 
     def tracked(name):
         worker = getattr(classify, name)
@@ -580,22 +636,17 @@ def test_full_search_takes_one_twist_form_per_tail(monkeypatch):
                 inside[0] = None
         return run
 
-    monkeypatch.setattr(classify, "_twist_canonical_form", counting_form)
+    monkeypatch.setattr(classify, "_tail_filtered", counting_filter)
     for name in calls:
         monkeypatch.setattr(classify, name, tracked(name))
     rep = bucket_search(2, 1, 4)
     tails = {pid // t.order for b in rep.buckets.values()
              for pid in b["members"]}
     assert calls["_classify_worker"] == 0
-    mins = _twist_tables(t)
-    leading = 0
-    for tid in tails:
-        cs = poly_from_id(t, tid * t.order).coeffs
-        i0 = next(i for i in range(1, t.n) if cs[i])
-        res = mins[i0]
-        leading += cs[i0] == res[t._log[cs[i0]] % len(res)]
-    assert len(tails) == 4080 and leading == 302
-    assert calls["_scan_worker"] == leading
+    candidates = list(classify._candidate_tails(t, 0, t.order ** (t.n - 1)))
+    assert sorted(seen) == candidates and len(candidates) == 306
+    assert len(tails) == 4080
+    assert sum(filtered(t, tid, True) is not None for tid in tails) == 272
     for kwargs in ({"modulo_twist": True}, {"sample": 20000}):
         rep = bucket_search(2, 1, 4, **kwargs)
         assert rep.pair_count > 0 and calls["_classify_worker"] == 0
@@ -696,13 +747,18 @@ def test_bucket_search_budget_and_sample(monkeypatch):
     assert json.dumps(r1.to_json()) == json.dumps(r2.to_json())
     assert r1.params["visited"] == 300
     assert r1.total_ids == 64 ** 6
-    # order 2^22 has no log tables, so no twist tables: a sample whose
+    # order 2^22 has no log tables, so no residue minima: a sample whose
     # buckets are all single needs none, and the twist filter says in one
-    # line that it needs them, not with a TypeError
+    # line that it needs them, not with a TypeError.  It says so before
+    # it reads a tail, so also when every id has the zero tail, which the
+    # residue chain never looks up
     r3 = bucket_search(2, 11, 2, sample=50)
     assert r3.scanned == r3.bucket_count == 50
     with pytest.raises(TooLargeError, match="log tables"):
         bucket_search(2, 11, 2, sample=50, modulo_twist=True)
+    t = build_tower(2, 11, 2)
+    with pytest.raises(TooLargeError, match="log tables"):
+        classify._scan_worker(((2, 11, 2, t.modulus), 0, 0, [0, 1, 2], True))
     # the budget bounds the min(sample, order^n) ids a search visits, and
     # is checked, after workers, before the sample is drawn
     assert bucket_search(2, 1, 3, budget=512, sample=10 ** 9).params[
@@ -1032,10 +1088,8 @@ def test_full_scan_chunks_key_each_kept_id_once(monkeypatch, pen,
     monkeypatch.setattr(classify, "_scan_worker", recording_scan)
     _, groups = classify._scan_buckets(t, None, modulo_twist, 1, None)
     assert len(results) > 1 or t.order ** t.n <= classify.SCAN_CHUNK
-    tables = _twist_tables(t)
     kept = [pid for pid in range(t.order ** t.n)
-            if classify._tail_filtered(t, pid // t.order,
-                                       tables if modulo_twist else None)
+            if classify._tail_filtered(t, pid // t.order, modulo_twist)
             is not None]
     emitted = sorted(pid for res in results for ids in res.values()
                      for pid in ids)
@@ -1053,20 +1107,20 @@ def test_full_scan_chunks_key_each_kept_id_once(monkeypatch, pen,
     ((3, 1, 3), None), ((2, 2, 2), None), ((5, 1, 3), 2), ((2, 1, 4), None)])
 def test_orbit_members_from_log_tables_are_the_distinct_twists(pen, chunks):
     # _orbit_tails reaches an orbit's members through log b_i = log a_i +
-    # L*(q^i - 1), L < (q^n - 1)/(q - 1): each canonical kept tail of a
+    # L*(q^i - 1), L < (q^n - 1)/(q - 1): each twist-filtered tail of a
     # chunk's range must get exactly the distinct _twist_coeffs images over
     # lam in F^*, itself first and each member once; q > 2 is where F_q^*
     # fixes tails.  The chunk emits every c0 of every member, no other id.
     # At (5,1,3), above the default budget, the first chunks stand for all
     t = build_tower(*pen)
-    order, tables = t.order, _twist_tables(t)
+    order = t.order
     step = max(classify.SCAN_CHUNK // order, 1) * order
     for lo in list(range(0, order ** t.n, step))[:chunks]:
         hi = min(lo + step, order ** t.n)
         groups = classify._scan_worker(
             ((*pen, t.modulus), lo, hi, None, False))
         canon = [tid for tid in range(lo // order, hi // order)
-                 if classify._tail_filtered(t, tid, tables) is not None]
+                 if classify._tail_filtered(t, tid, True) is not None]
         assert canon
         emitted = []
         for c in canon:
@@ -1089,11 +1143,10 @@ def test_orbit_members_from_log_tables_are_the_distinct_twists(pen, chunks):
 def test_orbit_labels_are_the_twist_forms(data, pen, partner):
     # _twist_classes names a class by the smallest tail id of its
     # _orbit_tails walk: two tails get one label exactly when they get one
-    # twist form.  The partner is a fresh tail, a twist, an adjoint or a
+    # smallest twist.  The partner is a fresh tail, a twist, an adjoint or a
     # twisted adjoint; zeros come often, so that supports the gcd filter
     # drops and leading indices with a larger stabilizer come up
     t = build_tower(*pen)
-    tables = _twist_tables(t)
     coeff = st.just(0) | st.integers(1, t.order - 1)
     tails = st.lists(coeff, min_size=t.n - 1, max_size=t.n - 1)
     f = [0] + data.draw(tails)
@@ -1113,15 +1166,13 @@ def test_orbit_labels_are_the_twist_forms(data, pen, partner):
 
     assert label(f) == min(tail_id(_twist_coeffs(t, f, lam))
                            for lam in range(1, t.order))
-    assert (label(f) == label(g)) == (
-        _twist_canonical_form(t, f, tables) == _twist_canonical_form(
-            t, g, tables))
+    assert (label(f) == label(g)) == (twist_form(t, f) == twist_form(t, g))
     if partner == "twist":
         assert label(f) == label(g)
 
 
 def residue_minimum_tails(t):
-    """Brute force, without _twist_tables: the tail ids whose leading
+    """Brute force, without _residue_minima: the tail ids whose leading
     coefficient a_i0 is the smallest of {a_i0 * lam^(q^i0 - 1)}, and the
     zero tail."""
     order, smallest = t.order, {}
@@ -1148,7 +1199,7 @@ def test_candidate_tails_are_the_residue_minimum_tails(pen):
     # must be those it keeps among all tails.  n = 1 keeps its zero tail;
     # (3,1,4) has tails whose leading coefficient ties over the stabilizer
     t = build_tower(*pen)
-    total, mins = t.order ** (t.n - 1), _twist_tables(t)
+    total = t.order ** (t.n - 1)
     brute = residue_minimum_tails(t)
     for step in (1, 7, 131, total):
         los = range(0, total, step)
@@ -1165,9 +1216,9 @@ def test_candidate_tails_are_the_residue_minimum_tails(pen):
         starts = set(los)
         assert got == [tid for tid in brute if tid // step * step in starts]
     kept = [tid for tid in brute
-            if classify._tail_filtered(t, tid, mins) is not None]
+            if classify._tail_filtered(t, tid, True) is not None]
     assert kept == [tid for tid in range(total)
-                    if classify._tail_filtered(t, tid, mins) is not None]
+                    if classify._tail_filtered(t, tid, True) is not None]
     assert (pen == (2, 1, 1)) == (kept == [0])
 
 
@@ -1223,7 +1274,7 @@ def test_sampled_scan_expands_only_tails_shared_by_several_ids(monkeypatch):
     for pid in ids:
         runs.setdefault(pid // t.order, []).append(pid)
     kept = {tid: r for tid, r in runs.items()
-            if classify._tail_filtered(t, tid, None) is not None}
+            if classify._tail_filtered(t, tid, False) is not None}
     shared = sum(len(r) > 1 for r in kept.values())
     assert 0 < shared < len(kept)
     det, terms = linalg.det, DicksonMatrix._diagonal_terms
@@ -1293,13 +1344,15 @@ def test_scan_fingerprints_exactly_the_ids_whose_tail_passes(monkeypatch, pen,
     assert sum(len(ids) * (len(ids) - 1) // 2 for _, ids in items) \
         == rep.pair_count
     assert len(visited) == rep.params["visited"]
-    tables = _twist_tables(t)
+
+    @functools.lru_cache(maxsize=None)
+    def smallest(tail):
+        return twist_form(t, (0,) + tail)[1:] == tail
 
     def passes(pid):
         f = poly_from_id(t, pid)
         return f.linearity_gcd() == 1 and (
-            not kwargs.get("modulo_twist")
-            or _is_twist_canonical(t, f.coeffs, tables))
+            not kwargs.get("modulo_twist") or smallest(f.coeffs[1:]))
 
     assert rep.scanned == sum(map(passes, visited)) > 0
 
@@ -1457,7 +1510,7 @@ def test_gcd_filtered_ids_never_share_a_club_fingerprint(p):
     club_fps, dropped_fps = set(), set()
     for pid in range(t.order ** 3):
         coeffs = coeffs_of_id(t, pid)
-        kept = classify._tail_filtered(t, pid // t.order, None) is not None
+        kept = classify._tail_filtered(t, pid // t.order, False) is not None
         if kept and not is_club_coeffs(t, coeffs):
             continue
         fp = DicksonMatrix(t, coeffs).fingerprint()
@@ -1471,7 +1524,6 @@ def test_gcd_filtered_ids_never_share_a_club_fingerprint(p):
        twisted=st.booleans())
 def test_twist_canonical_form_agrees_with_diag_similar(data, pen, twisted):
     t = build_tower(*pen)
-    tables = _twist_tables(t)
     # zeros often, so that leading tail indices with a nontrivial
     # stabilizer come up
     coeff = st.just(0) | st.integers(1, t.order - 1)
@@ -1481,8 +1533,7 @@ def test_twist_canonical_form_agrees_with_diag_similar(data, pen, twisted):
         g = [t.mul(c, t.pow(lam, t.q ** i - 1)) for i, c in enumerate(f)]
     else:
         g = data.draw(st.lists(coeff, min_size=t.n, max_size=t.n))
-    same_form = (_twist_canonical_form(t, f, tables)
-                 == _twist_canonical_form(t, g, tables))
+    same_form = twist_form(t, f) == twist_form(t, g)
     similar = DicksonMatrix(t, f).diag_similar(DicksonMatrix(t, g)) is not None
     assert same_form == similar
     if twisted:

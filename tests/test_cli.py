@@ -126,12 +126,28 @@ def test_field_info_budget_env(capsys, monkeypatch):
     ["show", "--f", "@{tmp}/bad_digits.json"],
     ["show", "--fingerprint", "--f", "[1,1,1,1]*x"],
     ["show", "--fingerprint", "--f", "@{tmp}/bad_digits.json"],
+    # digits are ints: floats, booleans and strings are refused
+    ["show", "--f", "@{tmp}/odd_digits.json"],
+    ["show", "--f", "@{tmp}/float_digit.json"],
+    ["show", "--f", "@{tmp}/bool_digit.json"],
+    ["show", "--f", "@{tmp}/str_digit.json"],
+    ["show", "--f", "[true,true]*x^q"],
+    ["show", "--f", "[1.0]*x"],
+    ["search", "--modulus", "[true,true,false,true]"],
+    ["search", "--modulus", "[1.5,1,0,1]"],
+    ["field-info", "--modulus", "[1,1,0,true]"],
 ])
 def test_bad_workers_and_sample_are_one_line_errors(capsys, tmp_path, argv):
     (tmp_path / "not_json.txt").write_text("x^q + 1\n", encoding="utf-8")
     (tmp_path / "no_coeffs.json").write_text('{"coefs": []}', encoding="utf-8")
     (tmp_path / "bad_digits.json").write_text('{"coeffs": [[5], [7, 3]]}',
                                               encoding="utf-8")
+    (tmp_path / "odd_digits.json").write_text(
+        '{"coeffs": [[1.9, 0, 1], [true], ["1"]]}', encoding="utf-8")
+    for name in ("float", "bool", "str"):
+        digit = {"float": "1.0", "bool": "true", "str": '"1"'}[name]
+        (tmp_path / f"{name}_digit.json").write_text(
+            f'{{"coeffs": [[{digit}], [0], [0]]}}', encoding="utf-8")
     argv = [a.format(tmp=tmp_path) for a in argv]
     code, out, err = run(capsys, argv[:1] + ["--p", "2", "--e", "1", "--n", "3"]
                          + argv[1:])

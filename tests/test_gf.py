@@ -160,6 +160,23 @@ def test_modulus_digits_outside_the_prime_field_are_refused():
     assert gf.build_tower(3, 1, 2, modulus=(2, 2, 1)).modulus == (2, 2, 1)
 
 
+@pytest.mark.parametrize("digits", [
+    [1.5, 1, 0, 1],  # int() would read x^3 + x + 1
+    [1.0, 1, 0, 1],
+    [True, True, False, True],
+    ["1", "1", "0", "1"],
+    "1101",
+])
+def test_modulus_digits_must_be_integers(digits):
+    # a modulus digit is an int: floats, booleans and strings are refused,
+    # not truncated or read, by the tower and by build_tower's cache key
+    with pytest.raises(BadParametersError, match="integers"):
+        gf.FieldTower(2, 1, 3, modulus=digits)
+    with pytest.raises(BadParametersError, match="integers"):
+        gf.build_tower(2, 1, 3, modulus=digits)
+    assert gf.build_tower(2, 1, 3, modulus=[1, 1, 0, 1]).modulus == (1, 1, 0, 1)
+
+
 def test_custom_modulus_arithmetic():
     t = gf.build_tower(2, 1, 4, modulus=(1, 1, 0, 0, 1))  # x^4 + x + 1
     x = t.x_int
@@ -465,6 +482,10 @@ def test_from_coeffs_and_descriptor():
     # digits outside [0, p) are rejected, not reduced mod p
     for digits in ([2], [1, -1], [0, 0, 0, 7]):
         with pytest.raises(BadParametersError):
+            t.from_coeffs(digits)
+    # and digits that are not ints are refused, not truncated or read
+    for digits in ([1.9, 0, 1], [1.0], [True], [False, True], ["1"], "101"):
+        with pytest.raises(BadParametersError, match="integers"):
             t.from_coeffs(digits)
     d = t.descriptor()
     assert d == {"p": 2, "e": 1, "n": 4, "modulus": list(t.modulus)}

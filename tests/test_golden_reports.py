@@ -31,6 +31,12 @@ SEARCHES = {
     "2-1-3-paranoid": ((2, 1, 3), {"paranoid": True}),
     "2-1-3-twist-workers2": ((2, 1, 3), {"modulo_twist": True, "workers": 2}),
     "2-1-6-sample": ((2, 1, 6), {"budget": 1000, "sample": 300}),
+    # twist searches whose residue chain reaches a second level (n = 6
+    # and n = 4 have proper divisors above 1)
+    "2-1-6-twist-sample":
+        ((2, 1, 6), {"modulo_twist": True, "sample": 20000}),
+    "3-1-4-twist-sample":
+        ((3, 1, 4), {"modulo_twist": True, "sample": 20000}),
     # towers where q^n - 1 is 1, 2 or 3: the shift table has one, two or
     # three rows, and n = 1 leaves every id with the empty tail
     "2-1-1": ((2, 1, 1), {}),
@@ -54,6 +60,10 @@ SEARCH_HASHES = {
         "e0352e5dabc95915c14a6bbd13326a02215d87eb3c9355fb5c3c6f928ae5a976",
     "2-1-6-sample":
         "a749d6d66863720900da112b1b0f51c16812f82c957c923e6fe4ee6a2c02e6c0",
+    "2-1-6-twist-sample":
+        "6f279423c1fe2a75c719d5dc2d0a9e1c6904069a23ae51e8a104fb97f6360b7f",
+    "3-1-4-twist-sample":
+        "5e661934ed95832b70292a4bc509beded246b636e3880361b06eef59d6fd0417",
     "2-1-1":
         "df4aadf01b1c61ca02a28bc4c4ee852288b6dd2bdfc33b556c85286a2ca80415",
     "3-1-1":

@@ -50,6 +50,8 @@ SEARCHES = (
     ("5-1-3-sample", (5, 1, 3), {"sample": 2000}),
     ("2-1-7-sample", (2, 1, 7), {"sample": 300}),
     ("3-1-4-sample", (3, 1, 4), {"sample": 300}),
+    ("2-1-6-twist-sample", (2, 1, 6), {"modulo_twist": True, "sample": 20000}),
+    ("3-1-4-twist-sample", (3, 1, 4), {"modulo_twist": True, "sample": 20000}),
 )
 # ((p, e, n), verify_club_uniqueness keyword arguments)
 CLUBS = (((2, 1, 3), {}), ((3, 1, 3), {}), ((2, 1, 4), {}), ((2, 2, 3), {}),
