@@ -10,7 +10,9 @@ worker count.
 """
 
 import bisect
+import contextlib
 import functools
+import gc
 import itertools
 import math
 import os
@@ -62,6 +64,19 @@ PROGRESS_EVERY = 1 << 20
 MEMBER_DUMP_LIMIT = 4096
 # bucket_search runs set_linearity on every bucket at field orders up to this
 LINEARITY_CHECK_ORDER = 32
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic collector, which a search gives nothing to find
+    (it leaves no reference cycles), and restore the caller's setting."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -288,10 +303,7 @@ def _classify_core(f: LinearizedPolynomial, g: LinearizedPolynomial,
             if hit is None:
                 swapped = _attempt_generalized(g, f, d, note)
                 if swapped is not None:
-                    tag, wit = swapped
-                    wit = dict(wit)
-                    wit["orientation"] = "swapped"
-                    hit = (tag, wit)
+                    hit = (swapped[0], {**swapped[1], "orientation": "swapped"})
             if hit is not None:
                 tag, wit = hit
                 if tag not in matched:
@@ -513,6 +525,7 @@ def _candidate_tails(tower: FieldTower, lo: int, hi: int):
     yield from sorted(itertools.chain.from_iterable(runs))
 
 
+@_gc_paused()
 def _scan_worker(args):
     """fingerprint -> ids of one chunk's kept candidates, unsorted.  The id
     (c0, tail) is keyed as the shift f + c0*x of its tail's zero-diagonal
@@ -648,6 +661,7 @@ def _classify_bucket(tower: FieldTower, ids: Sequence[int], paranoid: bool):
     return cases, anomalies, lin
 
 
+@_gc_paused()
 def _classify_worker(args):
     """(key, cases, anomalies (id, id, reason), set_linearity) per item.
     (x, y) -> (x, y + gamma*x) maps the graph of f to that of f + gamma*x,
@@ -743,8 +757,7 @@ def _run_chunks(worker, chunk_args: Iterable, count: int, workers: int):
             yield worker(args)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for res in pool.map(worker, chunk_args):
-            yield res
+        yield from pool.map(worker, chunk_args)
 
 
 def _check_scan(budget: Optional[int], workers: int, count: int) -> None:
@@ -800,6 +813,7 @@ def _name_buckets(digests: Sequence[int], groups: Iterable[List[int]]):
     return members, collisions
 
 
+@_gc_paused()
 def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
                   workers: int = 1, modulo_twist: bool = False,
                   paranoid: bool = False,

@@ -12,7 +12,7 @@ import math
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from . import linalg
-from .errors import AmbientMismatchError, ZeroScalarError
+from .errors import AmbientMismatchError, BadParametersError, ZeroScalarError
 from .gf import FieldElement, FieldTower
 
 
@@ -21,10 +21,11 @@ def _unwrap(tower: FieldTower, c) -> int:
         if c.tower != tower:
             raise AmbientMismatchError("coefficient from a different tower")
         return c.val
-    v = int(c)
-    if not 0 <= v < tower.order:
-        raise ValueError(f"packed value {v} out of range [0, {tower.order})")
-    return v
+    if type(c) is not int:  # int() would read 1.5, True and "3"
+        raise BadParametersError(f"packed value {c!r} is not an int")
+    if not 0 <= c < tower.order:
+        raise ValueError(f"packed value {c} out of range [0, {tower.order})")
+    return c
 
 
 def _twist_coeffs(tower: FieldTower, coeffs: Sequence[int], lam: int) -> List[int]:

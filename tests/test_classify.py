@@ -1,6 +1,7 @@
 """Tests for pair classification, verdict replay, and bucket searches."""
 
 import functools
+import gc
 import json
 import math
 import random
@@ -1397,6 +1398,66 @@ def test_bucket_search_alternate_modulus_same_shape():
     assert base.histogram == alt.histogram
     assert sorted(b["size"] for b in base.buckets.values()) == \
         sorted(b["size"] for b in alt.buckets.values())
+
+
+def test_search_restores_the_callers_collector_state(monkeypatch):
+    tower = build_tower(2, 1, 3)
+    desc = (2, 1, 3, tower.modulus)
+    seen = []  # gc.isenabled() inside each worker and progress tick
+
+    def watch(fn):
+        return lambda *args: seen.append(gc.isenabled()) or fn(*args)
+
+    def tick(done, total):
+        seen.append(gc.isenabled())
+        raise RuntimeError(f"tick at {done} of {total}")
+
+    monkeypatch.setattr(classify, "_tail_filtered",
+                        watch(classify._tail_filtered))
+    monkeypatch.setattr(classify, "_classify_bucket",
+                        watch(classify._classify_bucket))
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            bucket_search(2, 1, 3)
+            assert gc.isenabled() is enabled
+            bucket_search(2, 1, 4, workers=2)
+            assert gc.isenabled() is enabled
+            # a (5,1,3) twist search ticks once, at the first chunk end
+            # past 2^20 of its 5^9 ids
+            with pytest.raises(RuntimeError, match="^tick at 1064375 of"):
+                bucket_search(5, 1, 3, budget=5 ** 9, modulo_twist=True,
+                              progress=tick)
+            assert gc.isenabled() is enabled
+            groups = classify._scan_worker((desc, 0, 512, None, False))
+            assert gc.isenabled() is enabled
+            classify._classify_worker((desc, [
+                (str(k), sorted(ids)) for k, ids in enumerate(
+                    groups.values())], False))
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # the workers and the tick ran paused, whatever the caller's setting
+    assert seen and not any(seen)
+
+
+def test_search_leaves_no_reference_cycles():
+    # the premise that makes pausing the collector safe: nothing a search
+    # or a club check leaves behind needs it.  Paranoid runs at (2,1,3):
+    # at (3,1,3) it takes about 50 s
+    runs = (lambda: bucket_search(5, 1, 3, budget=5 ** 9, modulo_twist=True),
+            lambda: bucket_search(2, 1, 4, workers=2),
+            lambda: bucket_search(2, 1, 3, paranoid=True),
+            lambda: verify_club_uniqueness(3, 1, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        for run in runs:
+            run()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- club uniqueness -------------------------------------------------------------

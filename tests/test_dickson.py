@@ -23,6 +23,7 @@ from linsetlab.dickson import (
 )
 from linsetlab.errors import (
     AmbientMismatchError,
+    BadParametersError,
     EmptyIndexSetError,
     TooLargeError,
     TooSmallError,
@@ -380,6 +381,10 @@ def test_values_outside_the_field_are_refused():
     for bad in (-4, t.order):
         with pytest.raises(ValueError):
             DicksonMatrix(t, [1, 2, 3, bad])
+    for bad in (1.5, True, "3"):  # refused, not read through int()
+        with pytest.raises(BadParametersError, match="not an int"):
+            DicksonMatrix(t, [1, 2, 3, bad])
+    assert DicksonMatrix(t, [1, t.x(), 3, 4]).coeffs == (1, t.x_int, 3, 4)
     A = DicksonMatrix(t, [1, 2, 3, 4])
     for bad in (-1, t.order):
         with pytest.raises(ValueError):

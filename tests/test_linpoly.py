@@ -7,7 +7,11 @@ import random
 import pytest
 
 from linsetlab import gf
-from linsetlab.errors import AmbientMismatchError, ZeroScalarError
+from linsetlab.errors import (
+    AmbientMismatchError,
+    BadParametersError,
+    ZeroScalarError,
+)
 from linsetlab.linpoly import (
     LinearizedPolynomial,
     _adjoint_coeffs,
@@ -204,6 +208,19 @@ def test_field_element_coefficients_and_call():
     val = f(x)
     assert isinstance(val, gf.FieldElement)
     assert val.val == f.evaluate(t.x_int)
+
+
+def test_packed_values_must_be_ints_or_field_elements():
+    # int() would read 1.5 as 1, True as 1 and "3" as 3
+    t = gf.build_tower(2, 1, 3)
+    for bad in (1.5, True, "3"):
+        with pytest.raises(BadParametersError, match="not an int"):
+            LinearizedPolynomial(t, [1, bad])
+        with pytest.raises(BadParametersError, match="not an int"):
+            LinearizedPolynomial.monomial(t, bad, 1)
+    assert LinearizedPolynomial(t, [t.x(), 0, 3]).coeffs == (t.x_int, 0, 3)
+    assert LinearizedPolynomial.monomial(t, t.x(), 1).coeffs == (0, t.x_int, 0)
+    assert LinearizedPolynomial.monomial(t, 7, 2).coeffs == (0, 0, 7)
 
 
 def test_json_and_id_roundtrips():
