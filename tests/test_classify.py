@@ -1444,8 +1444,8 @@ def test_search_restores_the_callers_collector_state(monkeypatch):
 
 def test_search_leaves_no_reference_cycles():
     # the premise that makes pausing the collector safe: nothing a search
-    # or a club check leaves behind needs it.  Paranoid runs at (2,1,3):
-    # at (3,1,3) it takes about 50 s
+    # or a club check leaves behind needs it.  The paranoid search runs at
+    # (2,1,3), as one at (3,1,3) replays pairs for most of a minute
     runs = (lambda: bucket_search(5, 1, 3, budget=5 ** 9, modulo_twist=True),
             lambda: bucket_search(2, 1, 4, workers=2),
             lambda: bucket_search(2, 1, 3, paranoid=True),
