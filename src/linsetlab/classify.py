@@ -376,19 +376,23 @@ def replay_verdict(f: LinearizedPolynomial, g: LinearizedPolynomial,
     the bilinear-form complement, and divisor claims by rebuilding the
     partner from the stored decomposition data.
     """
-    t = f.tower
+    return _replay(verdict, graph_subspace(f), graph_subspace(g), perp)
+
+
+def _replay(verdict: PairVerdict, U: Subspace, W: Subspace,
+            perp_of: Callable[[Subspace], Subspace]) -> bool:
+    """replay_verdict on the graphs U of f and W of g; perp_of(V) is perp(V)."""
+    t = U.tower
     case = verdict.case
     wit = dict(verdict.witness)
     if case == "unknown":
         return not verdict.matched
     if wit.pop("orientation", None) == "swapped":
-        f, g = g, f
-    U = graph_subspace(f)
-    W = graph_subspace(g)
+        U, W = W, U
     if case == "multiple":
         return W == U.scale(wit["lambda"])
     if case == "perp_multiple":
-        return W == perp(U).scale(wit["lambda"])
+        return W == perp_of(U).scale(wit["lambda"])
     if case == "pseudoregulus":
         i, j = wit["i"], wit["j"]
         return (t.n >= 5
@@ -525,6 +529,10 @@ def _candidate_tails(tower: FieldTower, lo: int, hi: int):
     yield from sorted(itertools.chain.from_iterable(runs))
 
 
+# (tower, principal minors) -> zero-diagonal matrix, whose shift table is shared
+_SHIFT_TABLES: Dict[tuple, DicksonMatrix] = {}
+
+
 @_gc_paused()
 def _scan_worker(args):
     """fingerprint -> ids of one chunk's kept candidates, unsorted.  The id
@@ -532,10 +540,13 @@ def _scan_worker(args):
     matrix.  A full scan (ids None) keys, from each tail of the range that
     _tail_filtered keeps with the twist filter on (it reads only the
     _candidate_tails), every id of its _orbit_tails, most outside the
-    range (under modulo_twist the tail alone).  A sampled scan filters
-    once per run of ids sharing a tail, with the twist filter on under
-    modulo_twist; a lone id takes the determinant route, cheaper than a
-    shift table."""
+    range (under modulo_twist the tail alone).  A shift table reads only
+    the matrix's principal minors, so tails of equal a_0 = 0 fingerprint
+    share one matrix from _SHIFT_TABLES, keyed by tower and minors, which
+    lasts one _scan_buckets call (a pool child's, the pool's life).  A
+    sampled scan filters once per run of ids sharing a tail, with the
+    twist filter on under modulo_twist; a lone id takes the determinant
+    route, cheaper than a shift table."""
     descriptor, lo, hi, ids, modulo_twist = args
     tower = build_tower(*descriptor)
     order = tower.order
@@ -549,6 +560,7 @@ def _scan_worker(args):
             if tail is None:
                 continue
             base = DicksonMatrix(tower, [0] + tail)
+            base = _SHIFT_TABLES.setdefault((tower, base._principal_minors()), base)
             for m in [tid] if modulo_twist else _orbit_tails(tower, tail):
                 for c0 in range(order):
                     groups.setdefault(base.fingerprint(c0),
@@ -633,11 +645,15 @@ def _classify_bucket(tower: FieldTower, ids: Sequence[int], paranoid: bool):
         cases, pending = _twist_classes(tower, ids)
     need = range(len(ids)) if paranoid else {k for xy in pending for k in xy}
     polys = {x: poly_from_id(tower, ids[x]) for x in need}
+    # paranoid replays and point sets reuse one graph, and one perp, per member
+    graphs = {x: graph_subspace(f) for x, f in polys.items()} \
+        if paranoid and len(ids) > 1 else {}
     if pending:
         # outside paranoid, pending holds only the pairs the twist classes
         # left open, which are neither twists nor adjoint twists
         mats = {x: DicksonMatrix.from_poly(f)
                 for x, f in polys.items()} if paranoid else {}
+        perp_of = functools.lru_cache(maxsize=None)(perp)
         for x, y in pending:
             matched, wits = _classify_core(polys[x], polys[y], mats.get(x),
                                            mats.get(y), False, None)
@@ -648,13 +664,12 @@ def _classify_bucket(tower: FieldTower, ids: Sequence[int], paranoid: bool):
             elif paranoid:
                 verdict = PairVerdict(case, tuple(matched),
                                       wits.get(case, {}), ())
-                if not replay_verdict(polys[x], polys[y], verdict):
+                if not _replay(verdict, graphs[x], graphs[y], perp_of):
                     anomalies.append((x, y, f"replay of case {case} failed"))
-    if paranoid and len(ids) > 1:
-        base = linear_set(graph_subspace(polys[0])).point_set()
+    if graphs:
+        base = linear_set(graphs[0]).point_set()
         for k in range(1, len(ids)):
-            pts = linear_set(graph_subspace(polys[k])).point_set()
-            if pts != base:
+            if linear_set(graphs[k]).point_set() != base:
                 anomalies.append((0, k, "point sets differ inside a bucket"))
     lin = set_linearity(graph_subspace(poly_from_id(tower, ids[0]))) \
         if tower.order <= LINEARITY_CHECK_ORDER else None
@@ -789,14 +804,17 @@ def _scan_buckets(tower: FieldTower, id_list: Optional[List[int]],
     visited = total if id_list is None else len(id_list)
     groups: Dict[Tuple[int, ...], List[int]] = {}
     next_tick = PROGRESS_EVERY
-    for k, res in enumerate(_run_chunks(
-            _scan_worker, chunk_args, len(chunk_args), workers)):
-        for fp, ids in res.items():
-            groups.setdefault(fp, []).extend(ids)
-        done = min((k + 1) * step, visited)
-        if progress is not None and done >= next_tick:
-            progress(done, visited)
-            next_tick += PROGRESS_EVERY
+    try:
+        for k, res in enumerate(_run_chunks(
+                _scan_worker, chunk_args, len(chunk_args), workers)):
+            for fp, ids in res.items():
+                groups.setdefault(fp, []).extend(ids)
+            done = min((k + 1) * step, visited)
+            if progress is not None and done >= next_tick:
+                progress(done, visited)
+                next_tick += PROGRESS_EVERY
+    finally:  # no later search reads this one's tables
+        _SHIFT_TABLES.clear()
     for ids in groups.values():  # a full scan's orbits cross the chunks
         ids.sort()
     return visited, groups

@@ -20,7 +20,11 @@ nonzero c at once: with c = g^L each term is exp[L*e_J + log det B_(I-J)],
 one C-level gather over all L per term, and row L of the table is the
 fingerprint of B - D for that c.  B.fingerprint(c) is the fingerprint of
 f + c*x, read from that row, so B's determinants and gathers are paid
-once however many of its shifts are fingerprinted.
+once however many of its shifts are fingerprinted.  The table reads
+nothing of B but its minors: the search scan shares one table per tower
+and a_0 = 0 fingerprint for the length of a scan (classify._SHIFT_TABLES).
+A column sums its terms by xor at p = 2, else by the tower's rows of sums
+(_add_rows[a][b] = a + b) where it has them, else by t.add.
 
 A matrix may have size s < n provided s | n and every coefficient lies in
 the intermediate field F_{q^s}; such smaller matrices drive the recursive
@@ -280,7 +284,7 @@ class DicksonMatrix:
             t, s = self.tower, self.size
             onum = t._onum
             exp2, frob, gathers = _tower_gathers(t)
-            add = operator.xor if t.p == 2 else t.add
+            add, add_rows = operator.xor if t.p == 2 else t.add, t._add_rows
             cols: List[Sequence[int]] = [(1,) * onum] * (1 << s)
             for row, (_, masks) in zip(self._diagonal_terms(), _necklaces(s)):
                 col = None
@@ -291,7 +295,9 @@ class DicksonMatrix:
                             operator.itemgetter(*[L * e % onum
                                                   for L in range(onum)])
                     term = gather(exp2[lm:lm + onum])
-                    col = term if col is None else list(map(add, col, term))
+                    col = term if col is None else list(
+                        map(add, col, term) if add_rows is None else
+                        map(list.__getitem__, map(add_rows.__getitem__, col), term))
                 cols[masks[0]] = col
                 for mask in masks[1:]:
                     col = cols[mask] = list(map(frob.__getitem__, col))

@@ -213,6 +213,7 @@ class FieldTower:
         self._subfield_cache = {}
         self._coeffs_json_cache = {}
         self._qcoord_cache = None
+        self._add_rows: Optional[List[List[int]]] = None
         # fast add/sub/neg dispatch
         if p == 2:
             self.add = self._add2
@@ -259,22 +260,21 @@ class FieldTower:
     def _build_small_add_tables(self) -> None:
         o, p = self.order, self.p
         neg = [self._undigits([(-d) % p for d in self._digits(v)]) for v in range(o)]
-        add = [0] * (o * o)
+        rows = [[0] * o for _ in range(o)]
         for a in range(o):
-            da = self._digits(a)
-            row = a * o
+            da, row = self._digits(a), rows[a]
             for b in range(a, o):
                 s = self._undigits([(x + y) % p for x, y in zip(da, self._digits(b))])
-                add[row + b] = s
-                add[b * o + a] = s
+                row[b] = s
+                rows[b][a] = s
         self._neg_t = neg
-        self._add_t = add
+        self._add_rows = rows  # a + b is rows[a][b]
 
     def _add_table(self, a: int, b: int) -> int:
-        return self._add_t[a * self.order + b]
+        return self._add_rows[a][b]
 
     def _sub_table(self, a: int, b: int) -> int:
-        return self._add_t[a * self.order + self._neg_t[b]]
+        return self._add_rows[a][self._neg_t[b]]
 
     def _neg_table(self, a: int) -> int:
         return self._neg_t[a]

@@ -849,6 +849,34 @@ def two_sort_naming(digests, groups):
     return members, sum(len(v) > 1 for v in by_digest.values())
 
 
+def test_paranoid_replays_build_each_members_graph_once(monkeypatch):
+    # a paranoid bucket replays each of its pairs, and every replay and
+    # the point-set check reuse one graph per member and at most one perp
+    # per member: graph_subspace runs at most 2*members + 1 times per
+    # bucket (the graphs, perp's own cross-check against the adjoint's
+    # graph, and set_linearity's), where replays that built their own
+    # graphs made about two per pair
+    counts, sizes = [], []
+
+    def counting_graph(f):
+        counts[-1] += 1
+        return graph_subspace(f)
+
+    def tracked_bucket(tower, ids, paranoid):
+        counts.append(0)
+        sizes.append(len(ids))
+        return classify_bucket(tower, ids, paranoid)
+
+    classify_bucket = classify._classify_bucket
+    monkeypatch.setattr(classify, "graph_subspace", counting_graph)
+    monkeypatch.setattr(linset, "graph_subspace", counting_graph)
+    monkeypatch.setattr(classify, "_classify_bucket", tracked_bucket)
+    rep = bucket_search(2, 1, 3, paranoid=True)
+    assert rep.theorem_confirmed and rep.histogram["perp_multiple"]
+    assert len(counts) == rep.bucket_count and max(sizes) >= 3
+    assert all(c <= 2 * m + 1 for c, m in zip(counts, sizes))
+
+
 def test_bucket_search_digest_collisions_resolved(monkeypatch):
     # squash the naming digests to force collisions; fingerprints must still
     # separate, and keys, their -k order and the collision count follow the
@@ -1067,6 +1095,59 @@ def test_scan_takes_one_det_per_necklace_per_kept_twist_orbit(monkeypatch, pen):
              for f in kept}
     assert len(found) == orbits < len(kept)
     assert calls[0] == necklaces * orbits
+
+
+@pytest.mark.parametrize("pen, kwargs, tables", [
+    ((2, 1, 4), {}, 166), ((3, 1, 3), {}, 41),
+    ((5, 1, 3), {"budget": 5 ** 9, "modulo_twist": True}, 314)])
+def test_full_scan_builds_one_shift_table_per_a0_zero_fingerprint(
+        monkeypatch, pen, kwargs, tables):
+    # a shift table is read off B's principal minors alone, and the kept
+    # tails whose zero-diagonal matrices share them (twists, adjoints)
+    # share one table: 166 for 272 kept orbits at (2,1,4), 41 for 56 at
+    # (3,1,3), 314 for 504 kept tails at (5,1,3) modulo_twist.  Each one
+    # names a class of order buckets, its translates along a_0.  The
+    # tables last one scan: none is left after a search or a club check
+    t = build_tower(*pen)
+    built, diagonal_terms = [], DicksonMatrix._diagonal_terms
+
+    def counting_terms(self):
+        built.append(self._principal_minors())
+        return diagonal_terms(self)
+
+    kept = [tail for tid in range(t.order ** (t.n - 1))
+            if (tail := classify._tail_filtered(
+                t, tid, kwargs.get("modulo_twist", False))) is not None]
+    at_zero = {DicksonMatrix(t, [0] + tail).fingerprint() for tail in kept}
+    monkeypatch.setattr(DicksonMatrix, "_diagonal_terms", counting_terms)
+    classify._SHIFT_TABLES.clear()  # direct _scan_worker calls leave theirs
+    rep = bucket_search(*pen, **kwargs)
+    assert sorted(built) == sorted(at_zero) and len(at_zero) == tables
+    assert rep.bucket_count == tables * t.order
+    assert not classify._SHIFT_TABLES
+    verify_club_uniqueness(*pen, budget=kwargs.get("budget"))
+    assert not classify._SHIFT_TABLES
+
+
+def test_scan_workers_share_shift_tables_only_within_a_tower():
+    # the shared tables are keyed by tower as well as by minors: (3,1,3)
+    # and (5,1,3) tails can share minors, and a (3,1,3) table must not
+    # serve a (5,1,3) chunk.  Direct calls in a row, which keep their
+    # tables, give the groups that fresh processes would
+    chunks = []
+    for pen in ((3, 1, 3), (5, 1, 3)):
+        t = build_tower(*pen)
+        step = max(classify.SCAN_CHUNK // t.order, 1) * t.order
+        chunks.append(((*pen, t.modulus), 0, step, None, False))
+    fresh = []
+    for args in chunks:
+        classify._SHIFT_TABLES.clear()
+        fresh.append(classify._scan_worker(args))
+    classify._SHIFT_TABLES.clear()
+    try:
+        assert [classify._scan_worker(args) for args in chunks] == fresh
+    finally:
+        classify._SHIFT_TABLES.clear()
 
 
 @pytest.mark.parametrize("pen, modulo_twist", [
@@ -1430,6 +1511,7 @@ def test_search_restores_the_callers_collector_state(monkeypatch):
                 bucket_search(5, 1, 3, budget=5 ** 9, modulo_twist=True,
                               progress=tick)
             assert gc.isenabled() is enabled
+            assert not classify._SHIFT_TABLES  # the raise cleared them too
             groups = classify._scan_worker((desc, 0, 512, None, False))
             assert gc.isenabled() is enabled
             classify._classify_worker((desc, [

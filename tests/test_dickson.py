@@ -175,6 +175,23 @@ def test_shift_without_log_tables_takes_one_det_per_necklace(monkeypatch):
             == DicksonMatrix(t, [777, 12345]).fingerprint())
 
 
+def test_shift_table_without_an_add_table_sums_by_the_field_add():
+    # odd p above _ADD_TABLE_CAP has log tables but no add rows, so the
+    # shift table sums its columns by t.add; p = 2 sums by xor.  Every row
+    # must be the determinant route's fingerprint of f + c*x
+    assert gf.build_tower(2, 1, 4)._add_rows is None
+    t = gf.build_tower(7, 1, 4)
+    assert t.order > gf._ADD_TABLE_CAP and t.has_tables
+    assert t._add_rows is None
+    rng = random.Random(23)
+    for tail in ([rng.randrange(1, t.order) for _ in range(3)],
+                 [rng.randrange(1, t.order), 0, rng.randrange(1, t.order)]):
+        table = DicksonMatrix(t, [0] + tail)._shift_table()
+        for c in range(1, t.order):
+            assert table[t._log[c]] == \
+                DicksonMatrix(t, [c] + tail)._principal_minors()
+
+
 @pytest.mark.parametrize("pen, dets", [((2, 1, 3), 3), ((2, 1, 4), 5),
                                        ((3, 1, 5), 7), ((2, 1, 10), 107)])
 def test_fingerprint_takes_one_det_per_necklace(monkeypatch, pen, dets):

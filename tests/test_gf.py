@@ -221,6 +221,18 @@ def test_addition_paths_agree_with_digitwise_oracle():
             assert t.sub(a, b) == t.add(a, t.neg(b))
 
 
+@pytest.mark.parametrize("pen", [(3, 1, 3), (5, 1, 3), (3, 2, 2)])
+def test_add_rows_agree_with_the_digit_route_on_every_pair(pen):
+    # odd p at order up to _ADD_TABLE_CAP stores a + b as _add_rows[a][b],
+    # which the shift tables also read: every pair, both operations
+    t = gf.build_tower(*pen)
+    assert t.add == t._add_table and len(t._add_rows) == t.order
+    for a in range(t.order):
+        for b in range(t.order):
+            assert t._add_table(a, b) == t._add_digits(a, b)
+            assert t._sub_table(a, b) == t._sub_digits(a, b)
+
+
 def test_division_and_inverses():
     t = gf.build_tower(3, 1, 3)
     for a in range(1, t.order):
