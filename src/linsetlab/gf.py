@@ -346,18 +346,20 @@ class FieldTower:
             k >>= 1
         return result
 
-    def _find_generator(self) -> int:
-        target = self._onum
-        if target == 1:
+    def _find_generator(self, size: int) -> int:
+        """The first cand^((order - 1)/size), cand = 2, 3, ..., of order size:
+        a generator of the multiplicative subgroup of that order."""
+        if size == 1:
             return 1
-        facs = _prime_factors(target)
+        step, facs = self._onum // size, _prime_factors(size)
         for cand in range(2, self.order):
-            if all(self._pow_raw(cand, target // r) != 1 for r in facs):
-                return cand
+            g = self._pow_raw(cand, step)
+            if all(self._pow_raw(g, size // r) != 1 for r in facs):
+                return g
         raise RuntimeError("no multiplicative generator found")  # unreachable
 
     def _build_log_tables(self) -> None:
-        g = self._find_generator()
+        g = self._find_generator(self._onum)
         o = self._onum
         exp = [0] * o
         log = [-1] * self.order
@@ -471,13 +473,17 @@ class FieldTower:
         return els
 
     def subfield_generator(self, d: int) -> int:
-        """A multiplicative generator of F_{q^d}^* (1 when that group is trivial)."""
+        """A multiplicative generator of F_{q^d}^* (1 when that group is
+        trivial); without log tables only for d < n, found by search."""
         self._check_divisor(d)
-        if self.q ** d == 2:
+        size = self.q ** d - 1
+        if size == 1:
             return 1
-        if self._exp is None:
-            raise TooLargeError("subfield generator needs log tables")
-        return self._exp[self._onum // (self.q ** d - 1)]
+        if self._exp is not None:
+            return self._exp[self._onum // size]
+        if d == self.n:
+            raise TooLargeError("a generator of the whole field needs log tables")
+        return self._find_generator(size)  # size < 2^32: q^d <= sqrt(order)
 
     def powers(self, g: int, k: int) -> Tuple[int, ...]:
         """(1, g, g^2, ..., g^(k-1)); with g = x this is the power basis,
@@ -526,21 +532,27 @@ class FieldTower:
     def q_coords(self, v: int) -> Tuple[int, ...]:
         """Coordinates of v over F_q w.r.t. the basis {x^j : j < n} of F_{q^n};
         each coordinate is itself a packed element lying in F_q."""
-        if self.e == 1:
-            return tuple(self._digits(v))
-        T, u_pows = self._qcoord_setup()
-        p = self.p
         dig = self._digits(v)
-        tvec = [sum(Trow[c] * dig[c] for c in range(self.m)) % p for Trow in T]
-        coords = []
-        for j in range(self.n):
-            acc = 0
-            for a in range(self.e):
-                t = tvec[j * self.e + a]
-                if t:
-                    acc = self.add(acc, self.smul(t, u_pows[a]))
-            coords.append(acc)
-        return tuple(coords)
+        if self.e == 1:
+            return tuple(dig)
+        return tuple(self._q_coord_of_digits(dig, j) for j in range(self.n))
+
+    def q_coord(self, v: int, j: int) -> int:
+        """q_coords(v)[j] alone: digit j when e = 1, else from the e rows
+        of the coordinate matrix that coordinate j needs."""
+        if self.e == 1:
+            return v // self.p ** j % self.p
+        return self._q_coord_of_digits(self._digits(v), j)
+
+    def _q_coord_of_digits(self, dig: Sequence[int], j: int) -> int:
+        T, u_pows = self._qcoord_setup()
+        e, p = self.e, self.p
+        acc = 0
+        for Trow, u in zip(T[j * e:(j + 1) * e], u_pows):
+            t = sum(x * d for x, d in zip(Trow, dig)) % p
+            if t:
+                acc = self.add(acc, self.smul(t, u))
+        return acc
 
     def from_q_coords(self, coords: Sequence[int]) -> int:
         """Inverse of q_coords: sum of coords[j] * x^j."""

@@ -112,14 +112,3 @@ def solve(tower, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[
         x[pc] = red[r][ncols]
     return tuple(x)
 
-
-def reduce_vector(tower, pivots, red, vec) -> list:
-    """Residual of vec after elimination against RREF rows (zero iff in span)."""
-    v = list(vec)
-    mul, sub = tower.mul, tower.sub
-    for r, pc in enumerate(pivots):
-        c = v[pc]
-        if c:
-            row = red[r]
-            v = [sub(a, mul(c, b)) for a, b in zip(v, row)]
-    return v

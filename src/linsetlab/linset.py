@@ -1,7 +1,9 @@
 """F_q-subspaces of F_{q^n}^r and their linear sets of projective points.
 
 A Subspace holds a canonical (reduced-echelon over F_q) basis of vectors
-with packed-integer coordinates.  Its linear set is the multiset-free set
+with packed-integer coordinates, reduced on the packed vectors themselves
+(see _echelon), so nothing is flattened to F_q digits and rebuilt;
+flat_rows() flattens on first read.  Its linear set is the multiset-free set
 of projective points spanned by nonzero vectors, each carrying a weight
 w(P) = log_q |{lambda : lambda*P in U}|.  The module provides the graph
 construction for linearized polynomials, weights and spectra, the perp
@@ -61,6 +63,43 @@ def _unflatten(tower: FieldTower, row: Sequence[int], r: int) -> Vector:
     return tuple(tower.from_q_coords(row[i * n:(i + 1) * n]) for i in range(r))
 
 
+def _echelon(tower: FieldTower, r: int,
+             vectors: Sequence[Vector]) -> Tuple[List[int], List[Vector]]:
+    """Reduced echelon form over F_q of packed vectors: (pivots, rows).
+
+    Flat column i*n + j is F_q-coordinate j of component i, read with
+    q_coord; rows are scaled and subtracted by F_q scalars.  As q_coords is
+    F_q-linear and the reduced form unique, this is linalg.rref of the
+    flattened rows, unflattened."""
+    n = tower.n
+    q_coord, mul, sub, inv = tower.q_coord, tower.mul, tower.sub, tower.inv
+    mat = [list(v) for v in vectors]
+    pivots: List[int] = []
+    for col in range(r * n):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
+        i, j = divmod(col, n)
+        piv = next((k for k in range(rank, len(mat))
+                    if mat[k][i] and q_coord(mat[k][i], j)), None)
+        if piv is None:
+            continue
+        prow = mat[piv]
+        mat[piv] = mat[rank]
+        c = q_coord(prow[i], j)
+        if c != 1:
+            c = inv(c)
+            prow = [mul(c, v) for v in prow]
+        mat[rank] = prow
+        for k, row in enumerate(mat):
+            f = k != rank and row[i] and q_coord(row[i], j)
+            if f:
+                mat[k] = list(map(sub, row, prow if f == 1
+                                  else [mul(f, b) for b in prow]))
+        pivots.append(col)
+    return pivots, [tuple(row) for row in mat[:len(pivots)]]
+
+
 class Subspace:
     """An F_q-subspace of F_{q^n}^r with canonical echelonized basis."""
 
@@ -76,15 +115,13 @@ class Subspace:
             if len(vals) != r:
                 raise ValueError(f"vector length {len(vals)} != r = {r}")
             raw.append(vals)
-        flat = [_flatten(tower, v) for v in raw]
-        pivots, rows = linalg.rref(tower, flat)
-        basis = tuple(_unflatten(tower, row, r) for row in rows)
+        pivots, basis = _echelon(tower, r, raw)
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "m", len(basis))
         object.__setattr__(self, "_pivots", tuple(pivots))
-        object.__setattr__(self, "_flat", tuple(tuple(row) for row in rows))
+        object.__setattr__(self, "_flat", None)  # flattened on first read
         object.__setattr__(self, "_graph_poly", 0)  # 0 = not computed yet
         object.__setattr__(self, "_points", None)
 
@@ -94,13 +131,24 @@ class Subspace:
     # -- basic structure ---------------------------------------------------------
 
     def flat_rows(self) -> Tuple[Tuple[int, ...], ...]:
+        if self._flat is None:
+            object.__setattr__(self, "_flat", tuple(
+                tuple(_flatten(self.tower, v)) for v in self.basis))
         return self._flat
 
-    def contains_vector(self, vec: Sequence[int]) -> bool:
-        residual = linalg.reduce_vector(
-            self.tower, self._pivots, [list(r) for r in self._flat],
-            _flatten(self.tower, vec))
-        return not any(residual)
+    def contains_vector(self, vec: Sequence) -> bool:
+        t = self.tower
+        v = [_unwrap(t, c) for c in vec]
+        if len(v) != self.r:
+            raise AmbientMismatchError(
+                f"vector has {len(v)} coordinates, r = {self.r}")
+        q_coord, mul, sub = t.q_coord, t.mul, t.sub
+        for col, row in zip(self._pivots, self.basis):
+            i, j = divmod(col, t.n)
+            c = v[i] and q_coord(v[i], j)
+            if c:
+                v = [sub(a, mul(c, b)) for a, b in zip(v, row)]
+        return not any(v)
 
     def same_ambient(self, other: "Subspace") -> bool:
         return self.tower == other.tower and self.r == other.r

@@ -383,6 +383,34 @@ def test_q_coords_roundtrip_and_linearity():
         assert t.q_coords(v) == tuple(t._digits(v))
 
 
+@pytest.mark.parametrize("pen", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (3, 2, 2),
+                                 (2, 11, 2)])
+def test_q_coord_is_one_entry_of_q_coords(pen):
+    t = gf.build_tower(*pen)
+    if t.has_tables:
+        vals = range(t.order)
+    else:  # (2,11,2): order 2^22, above the log-table cap
+        vals = random.Random(29).sample(range(t.order), 200)
+    for v in vals:
+        coords = t.q_coords(v)
+        assert all(t.q_coord(v, j) == coords[j] for j in range(t.n))
+
+
+def test_subfield_generator_without_log_tables():
+    t = gf.build_tower(2, 11, 2)
+    assert not t.has_tables
+    g = t.subfield_generator(1)
+    size = t.q - 1  # 2047 = 23 * 89
+    assert t.frobenius(g, 1) == g
+    assert t.pow(g, size) == 1
+    assert t.pow(g, size // 23) != 1 and t.pow(g, size // 89) != 1
+    with pytest.raises(TooLargeError):
+        t.subfield_generator(2)
+    # with tables, the table route is kept
+    s = gf.build_tower(2, 2, 3)
+    assert s.subfield_generator(1) == s._exp[s._onum // 3]
+
+
 def test_q_coords_of_power_basis():
     t = gf.build_tower(2, 2, 3)
     xj = 1

@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from linsetlab import gf, linset
+from linsetlab import gf, linalg, linset
 from linsetlab.classify import bucket_search
 from linsetlab.dickson import FINGERPRINT_BOUND, DicksonMatrix
 from linsetlab.errors import (
@@ -110,6 +110,73 @@ def test_subspace_json_roundtrip():
     t = gf.build_tower(3, 1, 2)
     U = Subspace(t, 3, [(1, 2, 0), (0, 1, 5)])
     assert subspace_from_json(t, U.to_json()) == U
+
+
+def test_contains_vector_checks_its_input():
+    t = gf.build_tower(2, 1, 3)
+    U = graph_subspace(LinearizedPolynomial.monomial(t, 1, 1))  # x^q
+    x = t.x_int
+    assert U.contains_vector((x, t.mul(x, x))) and U.contains_vector((0, 0))
+    assert U.contains_vector((t.element(x), t.element(t.mul(x, x))))
+    assert not U.contains_vector((1, x))
+    for wrong_length in [(1,), (1, 1, 5), ()]:
+        with pytest.raises(AmbientMismatchError):
+            U.contains_vector(wrong_length)
+    for out_of_range in [(9, 0), (-1, 0)]:
+        with pytest.raises(ValueError, match="out of range"):
+            U.contains_vector(out_of_range)
+    for not_an_int in [(True, 1), (1.0, 1)]:
+        with pytest.raises(BadParametersError):
+            U.contains_vector(not_an_int)
+
+
+ECHELON_TOWERS = [(2, 1, 4), (3, 1, 3), (5, 1, 3), (2, 2, 3), (3, 2, 2),
+                  (2, 11, 2)]  # the last has no log tables
+
+
+@st.composite
+def _echelon_inputs(draw):
+    """A tower, r, generators with zero, repeated and dependent vectors
+    drawn often, and a probe vector (often in their span)."""
+    t = gf.build_tower(*draw(st.sampled_from(ECHELON_TOWERS)))
+    r = draw(st.integers(1, 3))
+    elem = st.integers(0, t.order - 1)
+    fq = elem.map(lambda v: t.q_coord(v, 0))  # an F_q scalar
+
+    def combo(vecs):
+        out = (0,) * r
+        for v in vecs:
+            c = draw(fq)
+            out = tuple(t.add(a, t.mul(c, b)) for a, b in zip(out, v))
+        return out
+
+    vecs = []
+    for _ in range(draw(st.integers(0, 2 * t.n + 1))):
+        kind = draw(st.sampled_from(("zero", "repeat", "dependent", "random")))
+        if kind == "zero" or (kind != "random" and not vecs):
+            vecs.append((0,) * r)
+        elif kind == "repeat":
+            vecs.append(draw(st.sampled_from(vecs)))
+        elif kind == "dependent":
+            vecs.append(combo(vecs))
+        else:
+            vecs.append(tuple(draw(elem) for _ in range(r)))
+    probe = (combo(vecs) if draw(st.booleans())
+             else tuple(draw(elem) for _ in range(r)))
+    return t, r, vecs, probe
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_echelon_inputs())
+def test_packed_echelon_equals_the_flattened_rref(case):
+    t, r, vecs, probe = case
+    U = Subspace(t, r, vecs)
+    pivots, rows = linalg.rref(t, [linset._flatten(t, v) for v in vecs])
+    assert U._pivots == tuple(pivots)
+    assert U.basis == tuple(linset._unflatten(t, row, r) for row in rows)
+    assert U.flat_rows() == tuple(tuple(row) for row in rows)
+    assert U.contains_vector(probe) == (
+        Subspace(t, r, U.basis + (probe,)).m == U.m)
 
 
 # ---------------------------------------------------------------------------

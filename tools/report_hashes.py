@@ -40,6 +40,7 @@ SEARCHES = (
     ("5-1-3-twist", (5, 1, 3), {"budget": 5 ** 9, "modulo_twist": True}),
     ("2-2-3-twist", (2, 2, 3), {"modulo_twist": True}),
     ("2-1-3-paranoid", (2, 1, 3), {"paranoid": True}),
+    ("2-2-2-paranoid", (2, 2, 2), {"paranoid": True}),
     ("2-1-3-twist-workers2", (2, 1, 3), {"modulo_twist": True, "workers": 2}),
     ("2-1-6-sample", (2, 1, 6), {"budget": 1000, "sample": 300}),
     ("2-1-4-sample", (2, 1, 4), {"sample": 2000}),
