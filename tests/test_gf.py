@@ -406,9 +406,6 @@ def test_subfield_generator_without_log_tables():
     assert t.pow(g, size // 23) != 1 and t.pow(g, size // 89) != 1
     with pytest.raises(TooLargeError):
         t.subfield_generator(2)
-    # with tables, the table route is kept
-    s = gf.build_tower(2, 2, 3)
-    assert s.subfield_generator(1) == s._exp[s._onum // 3]
 
 
 def test_q_coords_of_power_basis():
