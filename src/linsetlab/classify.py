@@ -676,40 +676,69 @@ def _classify_bucket(tower: FieldTower, ids: Sequence[int], paranoid: bool):
     return cases, anomalies, lin
 
 
+def _image_tails(tower: FieldTower, tails: Sequence[int]):
+    """Sorted member tails of the images of a bucket with member tails
+    tails under f -> beta*f^(p^k), beta in F_(q^n)^*, 0 <= k < e*n.
+    Scaling (x, y) -> (x, beta*y) and the Frobenius map each fingerprint
+    class onto one (minor_I(beta*f) = beta^(sum_(i in I) q^i)*minor_I(f),
+    minor_I(f^sigma) = minor_I(f)^sigma), keep every pair's case and keep
+    the support, so the gcd filter: in a scan of whole classes the image
+    of a bucket is a bucket.  By logs, as in _orbit_tails, b_i =
+    exp[log a_i * p^k + log beta]."""
+    _need_log_tables(tower)
+    exp, log, onum, order = tower._exp, tower._log, tower._onum, tower.order
+    coeffs = [_id_coeffs(tower, tid * order)[1:] for tid in tails]
+    for k in range(tower.e * tower.n):
+        images = []
+        for tail in coeffs:
+            members = [0] * onum
+            for i, a in enumerate(tail):
+                if a:
+                    la, w = log[a] * tower.p ** k % onum, order ** i
+                    members = [m + w * b for m, b in
+                               zip(members, exp[la:] + exp[:la])]
+            images.append(members)
+        yield from (tuple(sorted(image)) for image in zip(*images))
+
+
+# (tower, member tails) -> _classify_bucket result, for one bucket_search
+_CLASSIFIED: Dict[FieldTower, Dict[Tuple[int, ...], tuple]] = {}
+
+
 @_gc_paused()
 def _classify_worker(args):
-    """(key, cases, anomalies (id, id, reason), set_linearity) per item.
+    """(cases, anomalies (id, id, reason), set_linearity, clash) per item.
     (x, y) -> (x, y + gamma*x) maps the graph of f to that of f + gamma*x,
     commuting with the twist and the adjoint, and bucket members share a_0,
-    so buckets with equal member tails have equal results: outside
-    paranoid, a later one takes the first's, anomalies moved to its ids."""
-    descriptor, items, paranoid = args
+    so buckets with equal member tails have equal results, anomalies moved
+    to their ids.  A result is stored in _CLASSIFIED under its tails and,
+    in a scan of whole fingerprint classes (whole: no sample and no
+    modulo_twist) when it has no anomalies, under each of its
+    _image_tails.  Outside paranoid a bucket whose tails are stored takes
+    that result; paranoid classifies every bucket, and clash says that its
+    cases or set_linearity differ from the stored ones.  _CLASSIFIED lasts
+    one bucket_search (a pool child's, the pool's life)."""
+    descriptor, items, paranoid, whole = args
     tower = build_tower(*descriptor)
-    done: Dict[Tuple[int, ...], tuple] = {}
+    memo = _CLASSIFIED.setdefault(tower, {})
     results = []
-    for key, ids in items:
+    for _key, ids in items:
         tails = tuple(map(tower.order.__rfloordiv__, ids))
-        if paranoid or tails not in done:
-            done[tails] = _classify_bucket(tower, ids, paranoid)
-        cases, anomalies, lin = done[tails]
-        results.append((key, cases, tuple(
+        known = memo.get(tails)
+        res = known if known is not None and not paranoid \
+            else _classify_bucket(tower, ids, paranoid)
+        cases, anomalies, lin = res
+        if known is None:
+            memo[tails] = res
+            if whole and not anomalies:
+                for image in _image_tails(tower, tails):
+                    memo.setdefault(image, res)
+        clash = paranoid and known is not None \
+            and (known[0], known[2]) != (cases, lin)
+        results.append((cases, tuple(
             (ids[x], ids[y], why) for x, y, why in anomalies)
-            if anomalies else (), lin))
+            if anomalies else (), lin, clash))
     return results
-
-
-def _classify_chunks(items: Sequence[Tuple[str, List[int]]], order: int):
-    """Items sorted (stably) by first member tail, cut where that tail
-    changes once a chunk holds CLASSIFY_CHUNK items: each translate class
-    lands in one chunk, and the chunks depend on the items alone."""
-    chunks: List[List[Tuple[str, List[int]]]] = []
-    for item in sorted(items, key=lambda it: it[1][0] // order):
-        last = chunks[-1] if chunks else []
-        if not last or (len(last) >= CLASSIFY_CHUNK
-                        and item[1][0] // order != last[-1][1][0] // order):
-            chunks.append([])
-        chunks[-1].append(item)
-    return chunks
 
 
 class BucketReport:
@@ -876,19 +905,26 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
 
     work_items = [(key, ids) for key, ids in bucket_members
                   if len(ids) > 1 or tower.order <= LINEARITY_CHECK_ORDER]
-    chunks = _classify_chunks(work_items, tower.order)
-    cls_args = (((p, e, n, tower.modulus), chunk, paranoid) for chunk in chunks)
-    # chunks run in tail order; the report below follows key order
-    results = {r[0]: r for res in _run_chunks(_classify_worker, cls_args,
-                                              len(chunks), workers)
-               for r in res}
+    chunks = range(0, len(work_items), CLASSIFY_CHUNK)
+    cls_args = (((p, e, n, tower.modulus), work_items[k:k + CLASSIFY_CHUNK],
+                 paranoid, sample is None and not modulo_twist)
+                for k in chunks)
+    try:
+        results = [r for res in _run_chunks(_classify_worker, cls_args,
+                                            len(chunks), workers)
+                   for r in res]
+    finally:  # no later search reads this one's results
+        _CLASSIFIED.clear()
     histogram: Dict[str, int] = {}
     anomalies: List[dict] = []
     linearity_flags: List[dict] = []
     n_is_prime = len(_divisors(n)) == 2
-    for key, ids in work_items:
-        _, cases, bucket_anoms, lin = results[key]
+    for (key, ids), (cases, bucket_anoms, lin, clash) in zip(work_items,
+                                                             results):
         buckets[key]["cases"] = dict(sorted(cases.items()))
+        if clash:
+            alerts.append(f"bucket {key}: cases or set_linearity differ "
+                          "from another bucket of its orbit")
         for case, count in cases.items():
             histogram[case] = histogram.get(case, 0) + count
             if n_is_prime and case.startswith("generalized"):

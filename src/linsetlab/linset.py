@@ -115,15 +115,21 @@ class Subspace:
             if len(vals) != r:
                 raise ValueError(f"vector length {len(vals)} != r = {r}")
             raw.append(vals)
-        pivots, basis = _echelon(tower, r, raw)
+        self._set_echelon(tower, r, *_echelon(tower, r, raw))
+
+    def _set_echelon(self, tower: FieldTower, r: int, pivots: Iterable[int],
+                     basis: Iterable[Vector], graph_poly=0) -> "Subspace":
+        """Fill the slots from a reduced echelon form over F_q; __init__ and
+        graph_subspace build every Subspace through this."""
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "m", len(basis))
+        object.__setattr__(self, "m", len(self.basis))
         object.__setattr__(self, "_pivots", tuple(pivots))
         object.__setattr__(self, "_flat", None)  # flattened on first read
-        object.__setattr__(self, "_graph_poly", 0)  # 0 = not computed yet
+        object.__setattr__(self, "_graph_poly", graph_poly)  # 0 = not computed
         object.__setattr__(self, "_points", None)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -305,11 +311,12 @@ class LinearSet:
 
 
 def graph_subspace(f: LinearizedPolynomial) -> Subspace:
-    """The n-dimensional subspace {(x, f(x)) : x in F_{q^n}} of F_{q^n}^2."""
+    """The n-dimensional subspace {(x, f(x)) : x in F_{q^n}} of F_{q^n}^2.
+    Its rows (x^j, f(x^j)) are already the reduced echelon form, pivots
+    0..n-1, as q_coords(x^j) is the unit vector e_j."""
     t = f.tower
-    U = Subspace(t, 2, [(xj, f.evaluate(xj)) for xj in t.power_basis])
-    object.__setattr__(U, "_graph_poly", f)
-    return U
+    return object.__new__(Subspace)._set_echelon(
+        t, 2, range(t.n), [(xj, f.evaluate(xj)) for xj in t.power_basis], f)
 
 
 def weight(U: Subspace, point: Sequence) -> int:

@@ -812,13 +812,14 @@ def test_set_linearity_settles_every_2_1_4_bucket_by_counting(monkeypatch):
                         counted("lin", classify.set_linearity))
     monkeypatch.setattr(linset, "_search_fqd_subspace",
                         counted("search", linset._search_fqd_subspace))
-    # translates along a_0 share their member tails and take one call: 166
-    # for the 2,656 buckets
+    # translates along a_0 share their member tails, and the 166 tail
+    # tuples of the 2,656 buckets fall in 9 scaling x Frobenius orbits,
+    # which take one call each
     rep = bucket_search(2, 1, 4)
     tails = {tuple(pid // 16 for pid in b["members"])
              for b in rep.buckets.values()}
     assert (len(tails), len(rep.buckets)) == (166, 2656)
-    assert calls == {"lin": len(tails), "search": 0}
+    assert calls == {"lin": 9, "search": 0}
     assert all(b["linearity_exact"] for b in rep.buckets.values())
 
 
@@ -1015,21 +1016,19 @@ def test_buckets_are_invariant_under_scaling_and_frobenius(pen):
 def test_sharing_results_among_translates_changes_nothing(monkeypatch, pen,
                                                           modulo_twist,
                                                           sample):
-    # _classify_worker over the tail-sorted chunks, where a bucket whose
-    # member tails repeat an earlier bucket's takes that bucket's results,
-    # against one bucket per call.  One pair per bucket is forced to
-    # "unknown", so every multi-member bucket has an anomaly on its own ids.
-    # A sample has buckets that share their first tail but not all tails.
+    # _classify_worker over the key-order CLASSIFY_CHUNK slices, where a
+    # bucket whose member tails repeat an earlier bucket's, in any chunk,
+    # takes that bucket's results, against one bucket per call on an empty
+    # memo.  _image_tails yields nothing, so only translates share.  One
+    # pair per bucket is forced to "unknown", so every multi-member bucket
+    # has an anomaly on its own ids.  A sample has buckets that share
+    # their first tail but not all tails
     t = build_tower(*pen)
     ids = None if sample is None else sorted(
         random.Random(0).sample(range(t.order ** t.n), sample))
     _, groups = classify._scan_buckets(t, ids, modulo_twist, 1, None)
     items, _ = classify._name_buckets(
         classify.fingerprint_digests(t, list(groups)), groups.values())
-    chunks = classify._classify_chunks(items, t.order)
-    assert sorted(item for chunk in chunks for item in chunk) == items
-    first_tails = [{ids[0] // t.order for _, ids in chunk} for chunk in chunks]
-    assert sum(map(len, first_tails)) == len(set().union(*first_tails))
     twist_classes, lin_calls = classify._twist_classes, []
 
     def one_left(tower, ids):
@@ -1043,23 +1042,172 @@ def test_sharing_results_among_translates_changes_nothing(monkeypatch, pen,
     monkeypatch.setattr(classify, "_twist_classes", one_left)
     monkeypatch.setattr(classify, "_classify_core", lambda *args: ([], {}))
     monkeypatch.setattr(classify, "set_linearity", counted_set_linearity)
-    descriptor = (*pen, t.modulus)
+    monkeypatch.setattr(classify, "_image_tails", lambda tower, tails: ())
+    descriptor, whole = (*pen, t.modulus), not modulo_twist and sample is None
+    step = classify.CLASSIFY_CHUNK
 
-    def run(chunks, paranoid):
+    def run(chunks, paranoid, fresh):
         lin_calls.clear()
-        return {key: rest for chunk in chunks for key, *rest in
-                classify._classify_worker((descriptor, chunk, paranoid))}
+        out = []
+        for chunk in chunks:
+            out += classify._classify_worker((descriptor, chunk, paranoid,
+                                              whole))
+            if fresh:
+                classify._CLASSIFIED.clear()
+        classify._CLASSIFIED.clear()
+        return out
 
-    shared = run(chunks, False)
+    chunks = [items[k:k + step] for k in range(0, len(items), step)]
+    shared = run(chunks, False, False)
     tails = {tuple(pid // t.order for pid in ids) for _, ids in items}
     assert len(lin_calls) == len(tails) < len(items)
-    assert shared == run([[item] for item in items], False)
-    assert sum(len(anoms) for _, anoms, _ in shared.values()) == \
+    assert shared == run([[item] for item in items], False, True)
+    assert sum(len(anoms) for _, anoms, _, _ in shared) == \
         sum(len(ids) > 1 for _, ids in items) > 0
-    # paranoid shares nothing: one set_linearity per bucket
-    shared = run(chunks[:1], True)
-    assert len(lin_calls) == len(chunks[0])
-    assert shared == run([[item] for item in chunks[0]], True)
+    assert not any(clash for *_, clash in shared)
+    # paranoid shares nothing: one set_linearity per bucket, and no clash,
+    # though the second chunk meets translates of the first's buckets
+    # (outside a sample)
+    first, second = ({tuple(pid // t.order for pid in ids) for _, ids in c}
+                     for c in chunks[:2])
+    assert first & second or sample
+    shared = run(chunks[:2], True, False)
+    assert len(lin_calls) == len(chunks[0]) + len(chunks[1])
+    assert shared == run([[item] for item in chunks[0] + chunks[1]], True,
+                         True)
+    assert not any(clash for *_, clash in shared)
+
+
+@pytest.mark.parametrize("pen, kwargs, classes, calls", [
+    ((2, 1, 4), {}, 166, 9), ((3, 1, 3), {}, 41, 3), ((2, 2, 3), {}, 129, 3),
+    ((2, 1, 4), {"modulo_twist": True}, 166, 166),
+    ((2, 2, 3), {"modulo_twist": True}, 66, 66),
+    ((2, 1, 4), {"sample": 2000}, 1286, 1286),
+    ((3, 1, 3), {"sample": 3000}, 965, 965)])
+def test_whole_class_searches_classify_one_bucket_per_orbit(
+        monkeypatch, pen, kwargs, classes, calls):
+    # a full search classifies one bucket per scaling x Frobenius orbit of
+    # its a_0 = 0 classes (the distinct member-tail tuples of its classify
+    # items).  modulo_twist and sampled scans keep no whole classes, so
+    # they share among translates only: one call per tail tuple
+    t, seen = build_tower(*pen), []
+    classify_bucket = classify._classify_bucket
+
+    def counting(tower, ids, paranoid):
+        seen.append(tuple(pid // tower.order for pid in ids))
+        return classify_bucket(tower, ids, paranoid)
+
+    monkeypatch.setattr(classify, "_classify_bucket", counting)
+    monkeypatch.setattr(classify, "MEMBER_DUMP_LIMIT", 1 << 14)
+    rep = bucket_search(*pen, **kwargs)
+    tails = {tuple(pid // t.order for pid in b["members"])
+             for b in rep.buckets.values()
+             if b["size"] > 1 or t.order <= classify.LINEARITY_CHECK_ORDER}
+    assert len(tails) == classes
+    assert len(seen) == len(set(seen)) == calls
+
+
+@pytest.mark.parametrize("pen", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (2, 2, 3)])
+def test_orbit_sharing_reports_equal_translate_sharing(monkeypatch, pen):
+    # results stored under each bucket's scaling x Frobenius images change
+    # no byte of a report, inline or in a pool of two whose children each
+    # keep their own memo; _image_tails yielding nothing leaves the
+    # sharing among translates alone
+    monkeypatch.setattr(classify, "SCAN_CHUNK", 64)
+    monkeypatch.setattr(classify, "CLASSIFY_CHUNK", 8)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
+    started = []
+
+    class RecordingPool(classify.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", RecordingPool)
+    shared = [json.dumps(bucket_search(*pen, workers=w).to_json(),
+                         sort_keys=True) for w in (1, 2)]
+    assert started == [2, 2]
+    monkeypatch.setattr(classify, "_image_tails", lambda tower, tails: ())
+    alone = json.dumps(bucket_search(*pen).to_json(), sort_keys=True)
+    assert shared == [alone, alone]
+
+
+def test_search_clears_its_classified_memo(monkeypatch):
+    bucket_search(2, 1, 4)
+    assert not classify._CLASSIFIED
+    classify_bucket, held = classify._classify_bucket, []
+
+    def failing(tower, ids, paranoid):
+        held.append(sum(map(len, classify._CLASSIFIED.values())))
+        if len(held) == 3:
+            raise RuntimeError("classify fails")
+        return classify_bucket(tower, ids, paranoid)
+
+    monkeypatch.setattr(classify, "_classify_bucket", failing)
+    with pytest.raises(RuntimeError, match="classify fails"):
+        bucket_search(2, 1, 4)
+    assert held[-1] > 2 and not classify._CLASSIFIED
+
+
+@functools.lru_cache(maxsize=None)
+def full_scan_buckets(pen):
+    """The member ids of a full scan's buckets: a sorted list and a set."""
+    _, groups = classify._scan_buckets(build_tower(*pen), None, False, 1,
+                                       None)
+    buckets = sorted(map(tuple, groups.values()))
+    return buckets, frozenset(buckets)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), pen=st.sampled_from(
+    [(2, 1, 4), (3, 1, 3), (2, 2, 2), (2, 2, 3)]))
+def test_scaling_frobenius_image_of_a_bucket_is_a_bucket(data, pen):
+    # what lets a whole-class search store a result under each of its
+    # _image_tails: f -> beta*f^(p^k) maps a bucket onto a bucket, and the
+    # two, each classified directly, have equal cases and set_linearity
+    t = build_tower(*pen)
+    buckets, bucket_set = full_scan_buckets(pen)
+    ids = data.draw(st.sampled_from(buckets))
+    beta = data.draw(st.integers(1, t.order - 1))
+    k = data.draw(st.integers(0, t.e * t.n - 1))
+    image = tuple(sorted(poly_to_id(LinearizedPolynomial(t, [
+        t.mul(beta, t.pow(a, t.p ** k)) for a in coeffs_of_id(t, pid)]))
+        for pid in ids))
+    assert image in bucket_set
+    assert tuple(pid // t.order for pid in image) in set(classify._image_tails(
+        t, tuple(pid // t.order for pid in ids)))
+    (cases, anoms, lin), (icases, ianoms, ilin) = (
+        classify._classify_bucket(t, list(m), False) for m in (ids, image))
+    assert not anoms and not ianoms
+    assert (cases, lin) == (icases, ilin)
+
+
+def test_paranoid_alerts_when_a_shared_result_differs(monkeypatch):
+    # paranoid classifies every bucket and compares it with the result a
+    # translate or an orbit image stored under its tails.  A mutated
+    # _image_tails stores the first bucket's result under every bucket's
+    # tails: each bucket whose own cases or set_linearity differ is named
+    # in an alert, and the rest of the report is the paranoid one
+    t = build_tower(2, 1, 3)
+    clean = bucket_search(2, 1, 3, paranoid=True)
+    assert not clean.alerts
+    every = [tuple(pid // t.order for pid in b["members"])
+             for b in clean.buckets.values()]
+    first = clean.buckets[min(clean.buckets)]
+    differ = sorted(key for key, b in clean.buckets.items()
+                    if (b["cases"], b["set_linearity"])
+                    != (first["cases"], first["set_linearity"]))
+    monkeypatch.setattr(classify, "_image_tails", lambda tower, tails: every)
+    rep = bucket_search(2, 1, 3, paranoid=True)
+    assert differ and rep.alerts == [
+        f"bucket {key}: cases or set_linearity differ from another bucket "
+        "of its orbit" for key in differ]
+    assert not rep.theorem_confirmed
+    assert (rep.buckets, rep.histogram, rep.anomalies) == (
+        clean.buckets, clean.histogram, clean.anomalies)
+    # outside paranoid the mutation goes unseen: every bucket takes the
+    # first one's result
+    assert bucket_search(2, 1, 3).histogram != clean.histogram
 
 
 @pytest.mark.parametrize("pen", [(2, 1, 3), (3, 1, 3), (2, 1, 4)])
@@ -1516,7 +1664,8 @@ def test_search_restores_the_callers_collector_state(monkeypatch):
             assert gc.isenabled() is enabled
             classify._classify_worker((desc, [
                 (str(k), sorted(ids)) for k, ids in enumerate(
-                    groups.values())], False))
+                    groups.values())], False, True))
+            classify._CLASSIFIED.clear()  # a direct call leaves its results
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()

@@ -26,6 +26,9 @@ from linsetlab.linset import construct_generalized, generalized_partner
 SEARCHES = {
     "2-1-3": ((2, 1, 3), {}),
     "3-1-3": ((3, 1, 3), {}),
+    # e > 1 with whole classes: the Frobenius x -> x^2 moves F_4, and the
+    # classify phase shares results along scaling x Frobenius orbits
+    "2-2-3": ((2, 2, 3), {}),
     "3-1-3-twist": ((3, 1, 3), {"modulo_twist": True}),
     "2-2-3-twist": ((2, 2, 3), {"modulo_twist": True}),
     "2-1-3-paranoid": ((2, 1, 3), {"paranoid": True}),
@@ -50,6 +53,8 @@ SEARCH_HASHES = {
         "cdad3d29c4d22a6e0e741d51bb869f5b46705bc77874c1128c963bee36ce8aba",
     "3-1-3":
         "0cd48bdeae780bf289a6fb90128f82af2068d46c1541268588ee822385c389bf",
+    "2-2-3":
+        "697a59c27f97a1090c6396026c79b5233bf2979dcdab31355b13a0ed49bd8d2b",
     "3-1-3-twist":
         "2990c176481e42c78c058443d0d1d095250bdefaf5fe380ae1243ddb0e577b53",
     "2-2-3-twist":

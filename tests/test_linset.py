@@ -196,6 +196,27 @@ def test_graph_subspace_shape():
     assert L.point_set() == {(1, 0)} and L.weight_of((1, 0)) == t.n
 
 
+@pytest.mark.parametrize("pen", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (3, 2, 2),
+                                 (2, 11, 2)])
+def test_graph_subspace_rows_are_their_echelon_form(pen):
+    # graph_subspace takes the rows (x^j, f(x^j)) as the reduced echelon
+    # form without reducing them, as q_coords(x^j) = e_j: the _echelon
+    # route gives the same basis and pivots, also for e > 1 and on the
+    # tower without log tables
+    t = gf.build_tower(*pen)
+    rng = random.Random(sum(pen))
+    polys = [LinearizedPolynomial.zero(t), LinearizedPolynomial.monomial(
+        t, 1, 1)] + [LinearizedPolynomial(
+            t, [rng.randrange(t.order) for _ in range(t.n)])
+            for _ in range(10)]
+    for f in polys:
+        U = graph_subspace(f)
+        pivots, basis = linset._echelon(
+            t, 2, [(xj, f.evaluate(xj)) for xj in t.power_basis])
+        assert U.basis == tuple(basis) and U._pivots == tuple(pivots)
+        assert U == Subspace(t, 2, U.basis) and U.as_graph_poly() is f
+
+
 def test_weight_matches_bruteforce_oracle():
     rng = random.Random(2026)
     for p, e, n in [(2, 1, 3), (3, 1, 2), (2, 2, 2)]:

@@ -31,6 +31,7 @@ SEARCHES = (
     ("2-1-2", (2, 1, 2), {}),
     ("2-2-1", (2, 2, 1), {}),
     ("2-1-4", (2, 1, 4), {}),
+    ("2-2-3", (2, 2, 3), {}),
     ("2-1-4-twist", (2, 1, 4), {"modulo_twist": True}),
     ("2-1-4-paranoid", (2, 1, 4), {"paranoid": True}),
     ("2-1-4-workers2", (2, 1, 4), {"workers": 2}),
