@@ -1132,6 +1132,27 @@ def test_orbit_sharing_reports_equal_translate_sharing(monkeypatch, pen):
     assert shared == [alone, alone]
 
 
+def test_results_with_anomalies_are_not_shared_along_orbits(monkeypatch):
+    # anomalies name pairs by member position, which an orbit image does
+    # not keep, so a result with anomalies is stored under the bucket's
+    # own tails only, and one without under each of its images too
+    t = build_tower(2, 1, 4)
+    _, groups = classify._scan_buckets(t, None, False, 1, None)
+    for ids in sorted(groups.values(), key=len, reverse=True):
+        tails = tuple(pid // t.order for pid in ids)
+        images = set(classify._image_tails(t, tails))
+        if len(images) > 1:  # the largest buckets are their own images
+            break
+    assert tails in images and len(ids) > 1
+    for anomalies, stored in (([(0, 1, "forced")], {tails}), ([], images)):
+        monkeypatch.setattr(classify, "_classify_bucket",
+                            lambda tower, ids, paranoid: ({}, anomalies, None))
+        classify._classify_worker(((2, 1, 4, t.modulus), [("k", ids)], False,
+                                   True))
+        assert set(classify._CLASSIFIED[t]) == stored
+        classify._CLASSIFIED.clear()
+
+
 def test_search_clears_its_classified_memo(monkeypatch):
     bucket_search(2, 1, 4)
     assert not classify._CLASSIFIED
