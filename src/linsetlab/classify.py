@@ -9,7 +9,6 @@ classifies every intra-bucket pair; reports are byte-identical for any
 worker count.
 """
 
-import bisect
 import contextlib
 import functools
 import gc
@@ -32,6 +31,7 @@ from .errors import (
     DecompositionFailedError,
     NotEqualSetsError,
     TooLargeError,
+    ZeroParameterError,
 )
 from .gf import FieldTower, build_tower, enumeration_budget
 from .linpoly import (
@@ -39,6 +39,7 @@ from .linpoly import (
     _adjoint_coeffs,
     _id_coeffs,
     _twist_coeffs,
+    _unwrap,
     poly_from_id,
     poly_to_id,
 )
@@ -348,8 +349,7 @@ def _two_generator_span(tower: FieldTower, i: int, v0, v1) -> Subspace:
 
 
 def _independent(tower: FieldTower, v0, v1) -> bool:
-    det = tower.sub(tower.mul(v0[0], v1[1]), tower.mul(v0[1], v1[0]))
-    return det != 0
+    return tower.mul(v0[0], v1[1]) != tower.mul(v0[1], v1[0])
 
 
 def _two_generator_holds(tower: FieldTower, coeffs: Sequence[int], d: int,
@@ -372,8 +372,9 @@ def replay_verdict(f: LinearizedPolynomial, g: LinearizedPolynomial,
     """Re-verify a verdict's witness by direct subspace computations.
 
     This is intentionally separate code from the classification search:
-    scalar claims are checked by rescaling subspaces, perp claims against
-    the bilinear-form complement, and divisor claims by rebuilding the
+    a scalar claim W = lam*U is checked as equal dimensions plus lam*v in
+    W for each basis vector v of U, a perp claim the same way against the
+    bilinear-form complement of U, and divisor claims by rebuilding the
     partner from the stored decomposition data.
     """
     return _replay(verdict, graph_subspace(f), graph_subspace(g), perp)
@@ -389,10 +390,13 @@ def _replay(verdict: PairVerdict, U: Subspace, W: Subspace,
         return not verdict.matched
     if wit.pop("orientation", None) == "swapped":
         U, W = W, U
-    if case == "multiple":
-        return W == U.scale(wit["lambda"])
-    if case == "perp_multiple":
-        return W == perp_of(U).scale(wit["lambda"])
+    if case in ("multiple", "perp_multiple"):
+        V = U if case == "multiple" else perp_of(U)
+        lam = _unwrap(t, wit["lambda"])
+        if not lam:
+            raise ZeroParameterError("scaling by zero collapses the subspace")
+        return W.m == V.m and all(W.contains_vector([t.mul(lam, c) for c in v])
+                                  for v in V.basis)
     if case == "pseudoregulus":
         i, j = wit["i"], wit["j"]
         return (t.n >= 5
@@ -468,6 +472,22 @@ def _residue_minima(tower: FieldTower, d: int, g: int) -> tuple:
     return tuple(min(exp[r::m]) for r in range(m))
 
 
+def _log_walk(tower: FieldTower, tail: Sequence[int], m: int,
+              steps: Sequence[int], count: int) -> List[int]:
+    """Tail ids of b for L = 0 .. count-1, where b_i = exp[(m*log a_i +
+    L*steps[i]) mod (q^n - 1)] for each nonzero a_i of tail and b_i = 0
+    for each zero one: a ΓL(2, q^n) orbit of tails, walked by logs."""
+    _need_log_tables(tower)
+    exp, log, onum, order = tower._exp, tower._log, tower._onum, tower.order
+    members = [0] * count
+    for i, (a, step) in enumerate(zip(tail, steps)):
+        if a:
+            la, w = m * log[a] % onum, order ** i
+            members = [b + w * exp[(la + L * step) % onum]
+                       for L, b in enumerate(members)]
+    return members
+
+
 def _orbit_tails(tower: FieldTower, tail: Sequence[int]) -> List[int]:
     """Tail ids of the twists of tail (coefficients 1..n-1), itself first.
     The twist b_i = a_i*lam^(q^i - 1) conjugates the Dickson matrix by
@@ -476,16 +496,9 @@ def _orbit_tails(tower: FieldTower, tail: Sequence[int]) -> List[int]:
     F_q^* fixes every tail, so L < (q^n - 1)/(q - 1) reaches every member;
     past the gcd filter (on the support, so on whole orbits) F_q^* is the
     whole stabilizer and each member comes once."""
-    _need_log_tables(tower)
-    exp, log, onum, order = tower._exp, tower._log, tower._onum, tower.order
-    walk = range(onum // (tower.q - 1))
-    members = [0] * len(walk)
-    for i, a in enumerate(tail, 1):
-        if a:
-            la, step, w = log[a], tower.q ** i - 1, order ** (i - 1)
-            members = [m + w * exp[(la + L * step) % onum]
-                       for m, L in zip(members, walk)]
-    return members
+    q = tower.q
+    return _log_walk(tower, tail, 1, [q ** i - 1 for i in range(1, tower.n)],
+                     (tower.order - 1) // (q - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -535,52 +548,46 @@ _SHIFT_TABLES: Dict[tuple, DicksonMatrix] = {}
 
 @_gc_paused()
 def _scan_worker(args):
-    """fingerprint -> ids of one chunk's kept candidates, unsorted.  The id
-    (c0, tail) is keyed as the shift f + c0*x of its tail's zero-diagonal
-    matrix.  A full scan (ids None) keys, from each tail of the range that
-    _tail_filtered keeps with the twist filter on (it reads only the
-    _candidate_tails), every id of its _orbit_tails, most outside the
-    range (under modulo_twist the tail alone).  A shift table reads only
-    the matrix's principal minors, so tails of equal a_0 = 0 fingerprint
-    share one matrix from _SHIFT_TABLES, keyed by tower and minors, which
-    lasts one _scan_buckets call (a pool child's, the pool's life).  A
-    sampled scan filters once per run of ids sharing a tail, with the
-    twist filter on under modulo_twist; a lone id takes the determinant
-    route, cheaper than a shift table."""
+    """fingerprint -> ids of one chunk's kept candidates, unsorted.  A run
+    of ids (c0, tail) is every c0 of one of the range's _candidate_tails
+    in a full scan (ids None), the given ids of one tail in a sampled one,
+    kept as the objects the search's id list holds; it passes
+    _tail_filtered once, with the twist filter on in a full scan or under
+    modulo_twist.  A lone id takes the determinant route, cheaper than a
+    shift table; a longer run keys each id as the shift f + c0*x of its
+    tail's zero-diagonal matrix (in a full scan without modulo_twist, every
+    id of each of its _orbit_tails, most outside the range).  A shift
+    table reads only the principal minors, so a full scan shares one
+    matrix among tails of equal minors through _SHIFT_TABLES, for one
+    _scan_buckets call (a pool child's, the pool's life)."""
     descriptor, lo, hi, ids, modulo_twist = args
     tower = build_tower(*descriptor)
     order = tower.order
-    twist = modulo_twist or ids is None
-    if twist:
+    full = ids is None
+    if twist := modulo_twist or full:
         _need_log_tables(tower)
+    runs = (((tid, range(tid * order, (tid + 1) * order))
+             for tid in _candidate_tails(tower, lo // order, hi // order))
+            if full else ((tid, list(run)) for tid, run in
+                          itertools.groupby(ids, order.__rfloordiv__)))
     groups: Dict[Tuple[int, ...], List[int]] = {}
-    if ids is None:
-        for tid in _candidate_tails(tower, lo // order, hi // order):
-            tail = _tail_filtered(tower, tid, twist)
-            if tail is None:
-                continue
-            base = DicksonMatrix(tower, [0] + tail)
-            base = _SHIFT_TABLES.setdefault((tower, base._principal_minors()), base)
-            for m in [tid] if modulo_twist else _orbit_tails(tower, tail):
-                for c0 in range(order):
-                    groups.setdefault(base.fingerprint(c0),
-                                      []).append(m * order + c0)
-        return groups
-    k = 0
-    while k < len(ids):
-        tid = ids[k] // order
-        end = bisect.bisect_left(ids, (tid + 1) * order, k)
+    for tid, run in runs:
         tail = _tail_filtered(tower, tid, twist)
-        if tail is not None:
-            if end - k > 1:
-                base = DicksonMatrix(tower, [0] + tail)
-                for pid in ids[k:end]:
-                    groups.setdefault(base.fingerprint(pid % order),
-                                      []).append(pid)
-            else:
-                fp = DicksonMatrix(tower, [ids[k] % order] + tail).fingerprint()
-                groups.setdefault(fp, []).append(ids[k])
-        k = end
+        if tail is None:
+            continue
+        if len(run) == 1:
+            fp = DicksonMatrix(tower, [run[0] % order] + tail).fingerprint()
+            groups.setdefault(fp, []).append(run[0])
+            continue
+        base = DicksonMatrix(tower, [0] + tail)
+        if full:
+            base = _SHIFT_TABLES.setdefault((tower, base._principal_minors()),
+                                            base)
+        for m in _orbit_tails(tower, tail) if full and not modulo_twist \
+                else [tid]:
+            for pid in run if m == tid else range(m * order, (m + 1) * order):
+                groups.setdefault(base.fingerprint(pid % order),
+                                  []).append(pid)
     return groups
 
 
@@ -683,22 +690,14 @@ def _image_tails(tower: FieldTower, tails: Sequence[int]):
     class onto one (minor_I(beta*f) = beta^(sum_(i in I) q^i)*minor_I(f),
     minor_I(f^sigma) = minor_I(f)^sigma), keep every pair's case and keep
     the support, so the gcd filter: in a scan of whole classes the image
-    of a bucket is a bucket.  By logs, as in _orbit_tails, b_i =
-    exp[log a_i * p^k + log beta]."""
-    _need_log_tables(tower)
-    exp, log, onum, order = tower._exp, tower._log, tower._onum, tower.order
+    of a bucket is a bucket.  By the _log_walk of _orbit_tails, b_i =
+    exp[p^k*log a_i + L] for beta = g^L."""
+    order, units = tower.order, [1] * (tower.n - 1)
     coeffs = [_id_coeffs(tower, tid * order)[1:] for tid in tails]
     for k in range(tower.e * tower.n):
-        images = []
-        for tail in coeffs:
-            members = [0] * onum
-            for i, a in enumerate(tail):
-                if a:
-                    la, w = log[a] * tower.p ** k % onum, order ** i
-                    members = [m + w * b for m, b in
-                               zip(members, exp[la:] + exp[:la])]
-            images.append(members)
-        yield from (tuple(sorted(image)) for image in zip(*images))
+        yield from (tuple(sorted(image)) for image in zip(*[
+            _log_walk(tower, tail, tower.p ** k, units, order - 1)
+            for tail in coeffs]))
 
 
 # (tower, member tails) -> _classify_bucket result, for one bucket_search

@@ -229,8 +229,7 @@ class DicksonMatrix:
             raise ValueError(f"size-{s} matrix needs coefficients in F_(q^{s})")
         if t.has_tables:
             return self._shift_table()[t._log[shift]]
-        return DicksonMatrix(t, (t.add(self.coeffs[0], shift),)
-                             + self.coeffs[1:])._principal_minors()
+        return self._shifted(t.neg(shift))._principal_minors()
 
     def _principal_minors(self) -> Tuple[int, ...]:
         """The fingerprint by one determinant per necklace, cached."""

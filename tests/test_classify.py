@@ -6,11 +6,12 @@ import json
 import math
 import random
 import types
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linsetlab import classify, gf, linalg, linset
+from linsetlab import classify, dickson, gf, linalg, linset
 from linsetlab.classify import (
     PairVerdict,
     _detect_generalized,
@@ -27,6 +28,7 @@ from linsetlab.errors import (
     BudgetExceededError,
     NotEqualSetsError,
     TooLargeError,
+    ZeroParameterError,
 )
 from linsetlab.gf import build_tower
 from linsetlab.linpoly import (
@@ -346,6 +348,36 @@ def test_replay_rejects_tampered_witnesses():
                       dict(v.witness, inner_c=list(v.witness["inner_b"])),
                       v.certificate)
     assert not replay_verdict(fU, gW, bad)
+
+
+def test_replay_of_a_scalar_claim_checks_dimension_and_lambda():
+    # a multiple or perp_multiple claim W = lam*V replays as equal
+    # dimensions plus lam*v in W for each basis vector v of V: a wrong lam
+    # fails, lam = 0 raises, and so does a lam outside the field; the
+    # whole plane holds every lam*v, so only the dimension refuses it
+    t = build_tower(3, 1, 3)
+    f = LinearizedPolynomial(t, [5, 7, 11])
+    g = f.twist(10)
+    U, W = graph_subspace(f), graph_subspace(g)
+    assert U != W and f.linearity_gcd() == 1
+    v = classify_pair(f, g)
+    assert v.case == "multiple" and replay_verdict(f, g, v)
+    lam = v.witness["lambda"]
+    for wrong in (1, t.mul(lam, 10), t.inv(lam)):
+        assert not replay_verdict(f, g, PairVerdict(
+            "multiple", ("multiple",), {"lambda": wrong}, ()))
+    for bad, error in ((0, ZeroParameterError), (t.order, ValueError),
+                       (1.0, BadParametersError)):
+        with pytest.raises(error):
+            replay_verdict(f, g, PairVerdict(
+                "multiple", ("multiple",), {"lambda": bad}, ()))
+    plane = Subspace(t, 2, [(b, 0) for b in t.power_basis]
+                     + [(0, b) for b in t.power_basis])
+    assert plane.m == 2 * t.n
+    for case, V in (("multiple", U), ("perp_multiple", perp(U))):
+        verdict = PairVerdict(case, (case,), {"lambda": 1}, ())
+        assert classify._replay(verdict, U, V, perp)
+        assert not classify._replay(verdict, U, plane, perp)
 
 
 def test_verdict_json_shape():
@@ -1203,6 +1235,30 @@ def test_scaling_frobenius_image_of_a_bucket_is_a_bucket(data, pen):
     assert (cases, lin) == (icases, ilin)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), pen=st.sampled_from(
+    [(2, 1, 4), (3, 1, 3), (2, 2, 3), (5, 1, 3)]))
+def test_image_tails_are_the_scaled_frobenius_images(data, pen):
+    # _image_tails walks log b_i = p^k*log a_i + L, L < q^n - 1, by the
+    # _log_walk of _orbit_tails: for every k < e*n and beta in F^* it must
+    # yield the sorted tail ids of beta*a_i^(p^k), computed directly.
+    # Zeros come often, so that zero coefficients stay zero
+    t = build_tower(*pen)
+    coeff = st.just(0) | st.integers(1, t.order - 1)
+    tails = data.draw(st.lists(st.lists(coeff, min_size=t.n - 1,
+                                        max_size=t.n - 1),
+                               min_size=1, max_size=3))
+
+    def tail_id(tail):
+        return poly_to_id(LinearizedPolynomial(t, [0] + tail)) // t.order
+
+    direct = [tuple(sorted(tail_id([t.mul(beta, t.pow(a, t.p ** k))
+                                    for a in tail]) for tail in tails))
+              for k in range(t.e * t.n) for beta in range(1, t.order)]
+    walked = list(classify._image_tails(t, tuple(map(tail_id, tails))))
+    assert sorted(walked) == sorted(direct)
+
+
 def test_paranoid_alerts_when_a_shared_result_differs(monkeypatch):
     # paranoid classifies every bucket and compares it with the result a
     # translate or an orbit image stored under its tails.  A mutated
@@ -1517,17 +1573,13 @@ def test_only_paranoid_buckets_ask_diag_similar(monkeypatch):
 def test_sampled_scan_expands_only_tails_shared_by_several_ids(monkeypatch):
     # a lone id of a sampled scan takes the determinant route; only a tail
     # that several ids share builds the expansion terms, once.  Either way
-    # each kept tail costs 5 determinants (the necklaces at n = 4), and the
-    # keys are the ids' own fingerprints
-    t = build_tower(2, 1, 4)
-    ids = sorted(random.Random(3).sample(range(t.order ** t.n), 600))
-    runs = {}
-    for pid in ids:
-        runs.setdefault(pid // t.order, []).append(pid)
-    kept = {tid: r for tid, r in runs.items()
-            if classify._tail_filtered(t, tid, False) is not None}
-    shared = sum(len(r) > 1 for r in kept.values())
-    assert 0 < shared < len(kept)
+    # each kept tail costs one determinant per necklace of Z_n, and the
+    # keys are the ids' own fingerprints; under modulo_twist the run is
+    # filtered with the twist filter on.  On the table-less (2,11,2)
+    # tower a run of two ids takes the determinant route on each shifted
+    # matrix, so it costs two determinants per necklace and no expansion.
+    # The keys are the given id objects, which the search's id list holds
+    # already, not equal ints made anew (5 MB more at (2,1,5) sample=200000)
     det, terms = linalg.det, DicksonMatrix._diagonal_terms
     dets, expanded = [0], [0]
 
@@ -1539,14 +1591,45 @@ def test_sampled_scan_expands_only_tails_shared_by_several_ids(monkeypatch):
         expanded[0] += 1
         return terms(self)
 
-    monkeypatch.setattr(linalg, "det", counting_det)
-    monkeypatch.setattr(DicksonMatrix, "_diagonal_terms", counting_terms)
-    groups = classify._scan_worker(((2, 1, 4), 0, 0, ids, False))
-    monkeypatch.undo()
-    assert expanded[0] == shared and dets[0] == 5 * len(kept)
-    assert {pid: fp for fp, members in groups.items() for pid in members} == {
-        pid: DicksonMatrix.from_poly(poly_from_id(t, pid)).fingerprint()
-        for r in kept.values() for pid in r}
+    def scan(t, ids, modulo_twist):
+        dets[0] = expanded[0] = 0
+        monkeypatch.setattr(linalg, "det", counting_det)
+        monkeypatch.setattr(DicksonMatrix, "_diagonal_terms", counting_terms)
+        groups = classify._scan_worker(
+            ((t.p, t.e, t.n, t.modulus), 0, 0, ids, modulo_twist))
+        monkeypatch.undo()
+        assert {id(pid) for members in groups.values() for pid in members} \
+            <= set(map(id, ids))
+        return {pid: fp for fp, members in groups.items() for pid in members}
+
+    def own_fingerprints(t, ids):
+        return {pid: DicksonMatrix.from_poly(poly_from_id(t, pid)).fingerprint()
+                for pid in ids}
+
+    for pen, size, modulo_twist in (((2, 1, 4), 600, False),
+                                    ((3, 1, 3), 2000, True),
+                                    ((2, 2, 3), 10000, True),
+                                    ((5, 1, 3), 20000, True)):
+        t = build_tower(*pen)
+        ids = sorted(random.Random(3).sample(range(t.order ** t.n), size))
+        runs = {}
+        for pid in ids:
+            runs.setdefault(pid // t.order, []).append(pid)
+        kept = {tid: r for tid, r in runs.items()
+                if classify._tail_filtered(t, tid, modulo_twist) is not None}
+        shared = sum(len(r) > 1 for r in kept.values())
+        assert 0 < shared < len(kept)
+        keys = scan(t, ids, modulo_twist)
+        assert expanded[0] == shared
+        assert dets[0] == len(dickson._necklaces(t.n)) * len(kept)
+        assert keys == own_fingerprints(t, [pid for r in kept.values()
+                                            for pid in r])
+    t = build_tower(2, 11, 2)
+    assert not t.has_tables
+    ids = [5 * t.order + 3, 5 * t.order + 1000]
+    assert classify._tail_filtered(t, 5, False) == [5]
+    assert scan(t, ids, False) == own_fingerprints(t, ids)
+    assert expanded[0] == 0 and dets[0] == 2 * len(dickson._necklaces(2))
 
 
 @pytest.mark.parametrize("pen, kwargs", [
@@ -1554,6 +1637,7 @@ def test_sampled_scan_expands_only_tails_shared_by_several_ids(monkeypatch):
     ((3, 1, 3), {"modulo_twist": True}),
     ((2, 1, 6), {"budget": 1000, "sample": 300}),
     ((2, 1, 4), {}),
+    ((5, 1, 3), {"budget": 5 ** 9, "modulo_twist": True}),
 ])
 def test_scan_fingerprints_exactly_the_ids_whose_tail_passes(monkeypatch, pen,
                                                              kwargs):
@@ -1596,16 +1680,22 @@ def test_scan_fingerprints_exactly_the_ids_whose_tail_passes(monkeypatch, pen,
         == rep.pair_count
     assert len(visited) == rep.params["visited"]
 
-    @functools.lru_cache(maxsize=None)
-    def smallest(tail):
-        return twist_form(t, (0,) + tail)[1:] == tail
+    smallest = {}  # tail -> whether it is the smallest of its twist orbit
 
-    def passes(pid):
-        f = poly_from_id(t, pid)
+    def passes(tid):
+        f = poly_from_id(t, tid * t.order)
+        tail = f.coeffs[1:]
+        if kwargs.get("modulo_twist") and tail not in smallest:
+            orbit = {tuple(_twist_coeffs(t, f.coeffs, lam))[1:]
+                     for lam in range(1, t.order)}
+            low = min(orbit)
+            smallest.update((m, m == low) for m in orbit)
         return f.linearity_gcd() == 1 and (
-            not kwargs.get("modulo_twist") or smallest(f.coeffs[1:]))
+            not kwargs.get("modulo_twist") or smallest[tail])
 
-    assert rep.scanned == sum(map(passes, visited)) > 0
+    # both filters read the tail alone, so each visited tail is judged once
+    assert rep.scanned == sum(count for tid, count in Counter(
+        pid // t.order for pid in visited).items() if passes(tid)) > 0
 
 
 def test_bucket_search_rejects_bad_workers_and_sample():
