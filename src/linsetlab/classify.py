@@ -14,12 +14,13 @@ import functools
 import gc
 import itertools
 import math
+import operator
 import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Optional,
+from typing import (Callable, Collection, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
 from . import dickson, linalg
@@ -637,8 +638,8 @@ def _twist_classes(tower: FieldTower, ids: Sequence[int]):
 
 
 def _classify_bucket(tower: FieldTower, ids: Sequence[int], paranoid: bool):
-    """(case counts, anomalies (x, y, reason) by member position,
-    set_linearity or None) of the bucket with members ids."""
+    """(case counts in case-name order, anomalies (x, y, reason) by member
+    position, set_linearity or None) of the bucket with members ids."""
     cases: Dict[str, int] = {}
     anomalies: List[Tuple[int, int, str]] = []
     pending: List[Tuple[int, int]] = []
@@ -680,7 +681,7 @@ def _classify_bucket(tower: FieldTower, ids: Sequence[int], paranoid: bool):
                 anomalies.append((0, k, "point sets differ inside a bucket"))
     lin = set_linearity(graph_subspace(poly_from_id(tower, ids[0]))) \
         if tower.order <= LINEARITY_CHECK_ORDER else None
-    return cases, anomalies, lin
+    return dict(sorted(cases.items())), anomalies, lin
 
 
 def _image_tails(tower: FieldTower, tails: Sequence[int]):
@@ -804,9 +805,10 @@ def _run_chunks(worker, chunk_args: Iterable, count: int, workers: int):
 
 
 def _check_scan(budget: Optional[int], workers: int, count: int) -> None:
-    """Refuse workers below 1, then count ids to scan over budget."""
-    if workers < 1:
-        raise BadParametersError(f"workers must be at least 1, got {workers}")
+    """Refuse a non-int budget or workers, workers below 1, then count over budget."""
+    if type(workers) is not int or workers < 1 or type(budget) not in (int, type(None)):
+        raise BadParametersError("workers must be an int >= 1 and budget None or "
+                                 f"an int, got workers={workers!r}, budget={budget!r}")
     limit = enumeration_budget() if budget is None else budget
     if count > limit:
         raise BudgetExceededError(
@@ -848,9 +850,15 @@ def _scan_buckets(tower: FieldTower, id_list: Optional[List[int]],
     return visited, groups
 
 
-def _name_buckets(digests: Sequence[int], groups: Iterable[List[int]]):
+def _name_buckets(digests: Sequence[int], groups: Collection[List[int]]):
     """([(key, ids)] in key order, digest_collisions): a key is the 16-hex-digit
-    digest, suffixed -1, -2, ... by first member where digests collide."""
+    digest (so keys sort as digests), suffixed -1, -2, ... by first member
+    where digests collide; only a repeated digest takes the (digest, ids) sort."""
+    first = operator.itemgetter(0)
+    members = sorted(zip(map("%016x".__mod__, digests), groups), key=first)
+    keys = list(map(first, members))
+    if not any(map(str.__eq__, keys, keys[1:])):
+        return members, 0
     members, collisions, last, idx = [], 0, None, 0
     for digest, ids in sorted(zip(digests, groups)):
         idx, last = (idx + 1 if digest == last else 0), digest
@@ -879,8 +887,8 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
     """
     tower = build_tower(p, e, n, modulus)
     total = tower.order ** n
-    if sample is not None and sample < 1:
-        raise BadParametersError(f"sample must be at least 1, got {sample}")
+    if sample is not None and (type(sample) is not int or sample < 1):
+        raise BadParametersError(f"sample must be an int >= 1, got {sample!r}")
     if sample is not None and total >= 1 << 63:  # beyond random.sample
         raise BadParametersError(f"sample needs under 2^63 ids, got {total}")
     drawn = total if sample is None else min(sample, total)
@@ -898,29 +906,31 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
                    for (fp, ids), d in zip(groups.items(), digests) if d
                    != dickson.fnv1a64(dickson.fingerprint_to_bytes(tower, fp))]
     del groups, digests  # free them before the classify phase
-    scanned = sum(len(ids) for _, ids in bucket_members)
-    buckets: Dict[str, dict] = {key: {"size": len(ids), "cases": {}}
-                                for key, ids in bucket_members}
-
+    small = tower.order <= LINEARITY_CHECK_ORDER
     work_items = [(key, ids) for key, ids in bucket_members
-                  if len(ids) > 1 or tower.order <= LINEARITY_CHECK_ORDER]
+                  if len(ids) > 1 or small]
     chunks = range(0, len(work_items), CLASSIFY_CHUNK)
     cls_args = (((p, e, n, tower.modulus), work_items[k:k + CLASSIFY_CHUNK],
                  paranoid, sample is None and not modulo_twist)
                 for k in chunks)
     try:
-        results = [r for res in _run_chunks(_classify_worker, cls_args,
-                                            len(chunks), workers)
-                   for r in res]
+        results = itertools.chain.from_iterable(list(_run_chunks(
+            _classify_worker, cls_args, len(chunks), workers)))
     finally:  # no later search reads this one's results
         _CLASSIFIED.clear()
+    # one record per bucket in key order, each with its own copy of cases
+    buckets: Dict[str, dict] = {}
     histogram: Dict[str, int] = {}
     anomalies: List[dict] = []
     linearity_flags: List[dict] = []
     n_is_prime = len(_divisors(n)) == 2
-    for (key, ids), (cases, bucket_anoms, lin, clash) in zip(work_items,
-                                                             results):
-        buckets[key]["cases"] = dict(sorted(cases.items()))
+    dump, scanned = len(bucket_members) <= MEMBER_DUMP_LIMIT, 0
+    lone = ({}, (), None, False)  # the result of a bucket not classified
+    for key, ids in bucket_members:
+        cases, bucket_anoms, lin, clash = next(results) \
+            if len(ids) > 1 or small else lone
+        scanned += len(ids)
+        record = buckets[key] = {"size": len(ids), "cases": cases.copy()}
         if clash:
             alerts.append(f"bucket {key}: cases or set_linearity differ "
                           "from another bucket of its orbit")
@@ -929,20 +939,17 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
             if n_is_prime and case.startswith("generalized"):
                 alerts.append(f"bucket {key}: case {case} at prime n={n} "
                               "(bug or counterexample)")
-        anomalies += [{"bucket": key, "pair": [ida, idb], "reason": why}
-                      for ida, idb, why in bucket_anoms]
+        if bucket_anoms:
+            anomalies += [{"bucket": key, "pair": [ida, idb], "reason": why}
+                          for ida, idb, why in bucket_anoms]
         if lin is not None:
-            dlin, exact = lin
-            buckets[key]["set_linearity"] = dlin
-            buckets[key]["linearity_exact"] = exact
+            dlin, exact = record["set_linearity"], record["linearity_exact"] = lin
             if dlin > 1 or not exact:
                 linearity_flags.append(
                     {"bucket": key, "rep": ids[0],
                      "set_linearity": dlin, "exact": exact})
-
-    if len(buckets) <= MEMBER_DUMP_LIMIT:
-        for key, ids in bucket_members:
-            buckets[key]["members"] = ids
+        if dump:
+            record["members"] = ids
 
     params = {"p": p, "e": e, "n": n, "q": tower.q,
               "modulus": list(tower.modulus), "modulo_twist": modulo_twist,
@@ -987,9 +994,9 @@ def verify_club_uniqueness(p: int, e: int, n: int,
     kept tail may share its fingerprint with another kept tail.
     The budget bounds all order^n ids; the scan and progress count the a_0
     = 0 ids of the _candidate_tails."""
+    tower = build_tower(p, e, n, modulus)
     if n < 3:
         raise BadParametersError("club uniqueness needs n >= 3")
-    tower = build_tower(p, e, n, modulus)
     _check_scan(budget, workers, tower.order ** n)
     # the scan's gcd filter drops only F_(q^d)-linear graphs (d > 1), whose
     # sets have at most (q^n-1)/(q^d-1) < q^(n-1)+1 points, fewer than a club

@@ -36,8 +36,9 @@ touches only the low 7 bits), so hashing k ASCII bytes s takes any state h
 to h*P^k + C_s[h mod 128] mod 2^64, C_s[x] being the hash of s from x minus
 x*P^k: one step per fingerprint entry.  A value gets its table C_s when it
 recurs, and each entry is filled when first read; past _DIGEST_VALUES
-values a tower hashes new ones by the byte route.  fingerprint_digests
-walks a batch of fingerprints one entry position at a time, per block.
+values a tower hashes new ones by the byte route.  Each tower memoizes the
+state after a fingerprint's first three entries, 1, a_0, a_0^q (capped alike);
+fingerprint_digests walks a batch from there one entry position at a time.
 """
 
 from __future__ import annotations
@@ -458,24 +459,33 @@ def fingerprint_digest(tower: FieldTower, fingerprint: Sequence[int]) -> int:
 
 
 def fingerprint_digests(tower: FieldTower, fingerprints: list) -> List[int]:
-    """fingerprint_digest of each of the equal-length fingerprints, one entry
-    position at a time per block of 1024; filled table steps run inline."""
+    """fingerprint_digest of each of the equal-length fingerprints, from its
+    head's memoized state one entry position at a time per block of 1024."""
     if len(set(map(len, fingerprints))) > 1:
         raise ValueError("fingerprints of different lengths")
     if not fingerprints or not fingerprints[0]:
         return [fnv1a64(b"[]")] * len(fingerprints)
-    starts, steps = _DIGESTS.get(tower) or _DIGESTS.setdefault(tower, ({}, {}))
+    heads, steps = _DIGESTS.get(tower) or _DIGESTS.setdefault(tower, ({}, {}))
     json, get, mask, out = tower.coeffs_json, steps.get, _MASK64, []
+    head = operator.itemgetter(0, 1, 2) if len(fingerprints[0]) > 3 else tuple
     for lo in range(0, len(fingerprints), 1024):  # a block's columns stay in cache
         block = fingerprints[lo:lo + 1024]
-        hs = [starts.get(v) or starts.setdefault(v, fnv1a64(b"[" + json(v)))
-              for v in map(operator.itemgetter(0), block)]
-        for k in range(1, len(block[0])):
+        hs = [heads.get(v) or _digest_head(heads, json, v)
+              for v in map(head, block)]
+        for k in range(3, len(block[0])):
             hs = [(h * s[0] + c) & mask if (c := (s := get(v)) and s[1][h & 127])
                   else _digest_step(steps, json, h, v)
                   for h, v in zip(hs, map(operator.itemgetter(k), block))]
         out += [((h ^ 0x5D) * _FNV_PRIME) & mask for h in hs]  # the closing "]"
     return out
+
+
+def _digest_head(heads: dict, json, head: tuple) -> int:
+    """The state after "[" and head's entries, by bytes; kept below the cap."""
+    h = fnv1a64(b"[" + b",".join(map(json, head)))
+    if len(heads) < _DIGEST_VALUES:
+        heads[head] = h
+    return h
 
 
 def _digest_step(steps: dict, json, h: int, v: int) -> int:

@@ -651,6 +651,8 @@ _tower_cache = {}
 def build_tower(p: int, e: int, n: int,
                 modulus: Optional[Sequence[int]] = None) -> FieldTower:
     """Build (or fetch a cached) tower; deterministic for fixed inputs."""
+    if not all(type(x) is int for x in (p, e, n)):  # no bool, float or string
+        raise BadParametersError(f"p, e and n must be ints, got {p!r}, {e!r}, {n!r}")
     key = (p, e, n, None if modulus is None else _int_digits(modulus, "modulus"))
     tower = _tower_cache.get(key)
     if tower is None:

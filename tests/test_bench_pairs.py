@@ -76,3 +76,52 @@ def test_bad_result_line_is_a_one_line_error(tmp_path, capsys):
     assert err.startswith("error: search-2-4-1-parent.json")
     assert err.count("\n") == 1
     assert not (ROOT / "BENCH_t.json").exists()
+
+
+def pairs_dir(directory, parent, change):
+    for seed, (p, c) in enumerate(zip(parent, change), start=1):
+        write(directory, f"twist-5-3-{seed}-parent.json", result_line(p, 1000 / p))
+        write(directory, f"twist-5-3-{seed}-change.json", result_line(c, 1000 / c))
+    assert bench_pairs.main(["--label", "v", "--parent", "p", "--change", "c",
+                             "--out-dir", str(directory), str(directory)]) == 0
+    return json.loads((directory / "BENCH_v.json").read_text())[
+        "workloads"]["twist-5-3"]["metrics"]
+
+
+def test_verdicts_follow_the_bound_and_the_claim_rule(tmp_path):
+    # within_bound: the change's median is worse than the parent's by at
+    # most BENCHMARK.json's bound (0.20 for op_ms_p50 and items_per_s);
+    # meets_claim_rule: at least 9 of 10 pairs won and a median better by
+    # more than the parent's q3 - q1
+    spec = {m["name"]: m for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert spec["op_ms_p50"]["bound"] == spec["items_per_s"]["bound"] == 0.2
+    parent = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 100.0]
+    # nine wins, median 85 against 100, parent quartiles 99-101
+    out = pairs_dir(tmp_path, parent, [85.0] * 9 + [104.0])
+    for name in ("op_ms_p50", "items_per_s"):
+        assert out[name]["change_wins"] == 9
+        assert out[name]["within_bound"] and out[name]["meets_claim_rule"]
+    # eight wins are too few
+    verdict = bench_pairs.verdicts
+    change = [85.0] * 8 + [104.0, 104.0]
+    assert verdict(parent, change, True, 0.2, 8) == {
+        "within_bound": True, "meets_claim_rule": False}
+    # ten wins, but the medians differ by less than the parent's spread
+    wide = [80.0, 120.0, 90.0, 110.0, 85.0, 115.0, 95.0, 105.0, 100.0, 100.0]
+    assert verdict(wide, [w - 1 for w in wide], True, 0.2, 10) == {
+        "within_bound": True, "meets_claim_rule": False}
+    # a change 25% slower is out of bound, 15% slower within it; a rate
+    # (higher is better) 25% lower is out of bound, 15% lower within it
+    rates = [1000 / p for p in parent]
+    for slow, inside in ((0.25, False), (0.15, True)):
+        assert verdict(parent, [p * (1 + slow) for p in parent], True,
+                       0.2, 0) == {"within_bound": inside,
+                                   "meets_claim_rule": False}
+        assert verdict(rates, [r * (1 - slow) for r in rates], False,
+                       0.2, 0) == {"within_bound": inside,
+                                   "meets_claim_rule": False}
+    # the same verdicts come out of a run of the script
+    out = pairs_dir(tmp_path, parent, [p * 1.25 for p in parent])
+    assert not out["op_ms_p50"]["within_bound"]
+    assert not out["op_ms_p50"]["meets_claim_rule"]

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import itertools
 import json
 import math
 import random
@@ -880,6 +881,81 @@ def two_sort_naming(digests, groups):
                for digest in sorted(by_digest)
                for idx, ids in enumerate(sorted(by_digest[digest]))]
     return members, sum(len(v) > 1 for v in by_digest.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_name_buckets_equals_the_two_sort_naming(data):
+    # the integer sort of distinct digests, and the (digest, members) sort
+    # that a repeated digest takes, name as the reference does: zero, one
+    # or many groups with disjoint ascending member lists, digests from a
+    # small range (repeats are common) or from all 64-bit values, groups
+    # given as a list or as a dict's values; each group is returned as the
+    # list object it came as
+    top = data.draw(st.sampled_from([0, 2, 30, (1 << 64) - 1]))
+    sizes = data.draw(st.lists(st.integers(1, 4), max_size=40))
+    ids = data.draw(st.lists(st.integers(0, 10 ** 6), unique=True,
+                             min_size=sum(sizes), max_size=sum(sizes)))
+    cuts = list(itertools.accumulate([0] + sizes))
+    groups = [sorted(ids[a:b]) for a, b in zip(cuts, cuts[1:])]
+    digests = data.draw(st.lists(st.integers(0, top), min_size=len(groups),
+                                 max_size=len(groups)))
+    want = two_sort_naming(digests, groups)
+    for given_groups in (groups, dict(enumerate(groups)).values()):
+        members, collisions = classify._name_buckets(digests, given_groups)
+        assert (members, collisions) == want
+        assert sorted(map(id, groups)) == sorted(id(ids) for _, ids in members)
+
+
+def test_name_buckets_of_zero_and_one_group():
+    assert classify._name_buckets([], []) == ([], 0)
+    assert classify._name_buckets([255], [[7, 9]]) == (
+        [("00000000000000ff", [7, 9])], 0)
+    assert classify._name_buckets([3, 3], [[8], [2, 5]]) == (
+        [("0000000000000003", [2, 5]), ("0000000000000003-1", [8])], 1)
+
+
+def test_bucket_records_share_no_cases_dict():
+    # translates share one memoized classification, so each bucket record
+    # must hold its own copy of the cases: no two records hold the same
+    # dict, and emptying every cases dict of one report leaves a repeat
+    # search's report byte-identical
+    for pen, kwargs in (((2, 1, 4), {}),
+                        ((5, 1, 3), {"budget": 5 ** 9, "modulo_twist": True})):
+        rep = bucket_search(*pen, **kwargs)
+        text = json.dumps(rep.to_json(), sort_keys=True)
+        assert len({id(b["cases"]) for b in rep.buckets.values()}) == \
+            rep.bucket_count > 1
+        assert rep.histogram and any(b["cases"] for b in rep.buckets.values())
+        for b in rep.buckets.values():
+            b["cases"].clear()
+            b["cases"]["unknown"] = -1
+        assert json.dumps(bucket_search(*pen, **kwargs).to_json(),
+                          sort_keys=True) == text
+
+
+def test_search_parameters_must_be_ints():
+    # floats, bools and strings are refused with BadParametersError: a
+    # float or a string used to end in a bare TypeError, and a bool or a
+    # float workers ran, a bool e writing "e": true into the params
+    for kwargs in ({"sample": 2.5}, {"sample": True}, {"workers": "2"},
+                   {"workers": 1.5}, {"workers": True},
+                   {"budget": "100000"}, {"budget": 1e5}, {"budget": True}):
+        with pytest.raises(BadParametersError):
+            bucket_search(2, 1, 3, **kwargs)
+        if "sample" not in kwargs:
+            with pytest.raises(BadParametersError):
+                verify_club_uniqueness(2, 1, 3, **kwargs)
+    for pen in ((2, 1, 3.0), (2, True, 3), (2.0, 1, 3), ("2", 1, 3),
+                (2, 1, "3"), (2, 1, True)):
+        for call in (build_tower, bucket_search, verify_club_uniqueness):
+            with pytest.raises(BadParametersError):
+                call(*pen)
+    # ints are taken as before
+    rep = bucket_search(2, 1, 3, 10 ** 5, workers=1, sample=5)
+    assert rep.params["e"] == 1 and type(rep.params["e"]) is int
+    assert rep.params["visited"] == 5
+    assert verify_club_uniqueness(2, 1, 3, 10 ** 5, workers=1)
 
 
 def test_paranoid_replays_build_each_members_graph_once(monkeypatch):

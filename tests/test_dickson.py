@@ -345,6 +345,48 @@ def test_digest_tables_stop_at_the_cap(monkeypatch):
         assert all(steps.values())
 
 
+def test_digest_head_memo_equals_the_byte_route(monkeypatch):
+    # each tower memoizes the state after a fingerprint's first three
+    # entries: fingerprints that share them and differ after them, a batch
+    # and a single digest that start from a filled memo, and sequences of
+    # length 0 to 3, against FNV-1a over the JSON bytes
+    t = gf.build_tower(5, 1, 3)
+    rng = random.Random(11)
+    byte = lambda seq: fnv1a64(fingerprint_to_bytes(t, seq))
+    monkeypatch.setattr(dickson, "_DIGESTS", {})
+    head = (1, 7, t.frobenius(7, 1))
+    batch = [head + tuple(rng.randrange(t.order) for _ in range(5))
+             for _ in range(50)]
+    assert len(set(batch)) == 50
+    assert fingerprint_digests(t, batch) == [byte(fp) for fp in batch]
+    (heads, _), = dickson._DIGESTS.values()
+    assert list(heads) == [head]
+    later = [list(head) + [0] * 5, head + (1, 2, 3, 4, 5)]
+    assert fingerprint_digests(t, later) == [byte(fp) for fp in later]
+    assert fingerprint_digest(t, later[0]) == byte(later[0])
+    assert list(heads) == [head]
+    for length in range(4):
+        seqs = [[rng.randrange(t.order) for _ in range(length)]
+                for _ in range(5)]
+        for batch in (seqs, seqs + [tuple(seq) for seq in seqs]):
+            assert fingerprint_digests(t, batch) == [byte(s) for s in batch]
+    # real fingerprints open with 1, a_0, a_0^q: one head per a_0
+    fps = [DicksonMatrix(t, [rng.randrange(t.order) for _ in range(3)])
+           .fingerprint() for _ in range(400)]
+    monkeypatch.setattr(dickson, "_DIGESTS", {})
+    assert fingerprint_digests(t, fps) == [byte(fp) for fp in fps]
+    (heads, _), = dickson._DIGESTS.values()
+    assert set(heads) == {fp[:3] for fp in fps}
+    assert len(heads) == len({fp[1] for fp in fps}) <= t.order
+    # random heads fill the memo to its cap and no further, and those past
+    # it take the byte route with the same digest
+    rand = [[rng.randrange(t.order) for _ in range(8)]
+            for _ in range(3 * dickson._DIGEST_VALUES)]
+    for _ in range(2):
+        assert fingerprint_digests(t, rand) == [byte(s) for s in rand]
+        assert len(heads) == dickson._DIGEST_VALUES
+
+
 # ---------------------------------------------------------------------------
 # characteristic values and multiplicities
 # ---------------------------------------------------------------------------

@@ -10,7 +10,12 @@ with both sides present is one pair.  For every end-to-end metric the
 output gives both sides' median and quartiles (inclusive method), the
 change's median relative to the parent's, the number of pairs the change
 wins (strictly better in the direction BENCHMARK.json gives), and every
-run in seed order; each --note (for example a wall time measured outside
+run in seed order.  Two fields give the verdict of the rules the benchmark
+is judged by: within_bound says the change's median is worse than the
+parent's by no more than the metric's BENCHMARK.json bound (a fraction of
+the parent's median); meets_claim_rule says the change wins at least 9 of
+every 10 pairs and its median is better than the parent's by more than the
+parent's interquartile distance (q3 - q1).  Each --note (for example a wall time measured outside
 the benchmark) goes into a "notes" list.  The Python version and core
 count written are those of the machine that runs this script, so run it
 where the benchmark ran.
@@ -64,30 +69,48 @@ def spread(values: list) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def summarize(by_seed: dict, better: dict) -> dict:
-    """One workload's block: its pairs are the seeds run on both sides."""
+def verdicts(parent: list, change: list, lower: bool, bound: float,
+             wins: int) -> dict:
+    """within_bound and meets_claim_rule of one metric (module docstring)."""
+    sign = 1 if lower else -1
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
+                 if len(parent) > 1 else [p_med] * 3)
+    gain = sign * (p_med - c_med)  # > 0: the change is better
+    return {"within_bound": -gain <= bound * abs(p_med),
+            "meets_claim_rule": 10 * wins >= 9 * len(parent)
+            and gain > q3 - q1}
+
+
+def summarize(by_seed: dict, spec: dict) -> dict:
+    """One workload's block: its pairs are the seeds run on both sides;
+    spec holds BENCHMARK.json's end-to-end metrics by name."""
     seeds = sorted(s for s, sides in by_seed.items() if len(sides) == 2)
     if not seeds:
         raise ValueError("a workload has no seed run on both sides")
     pairs = [by_seed[s] for s in seeds]
     metrics = {}
     for name, info in pairs[0]["parent"]["metrics"].items():
-        if name not in better:
+        if name not in spec:
             raise ValueError(f"metric {name} is not an end-to-end metric "
                              "of BENCHMARK.json")
         vals = {side: [p[side]["metrics"][name]["value"] for p in pairs]
                 for side in SIDES}
-        lower = better[name] == "lower"
+        better = spec[name]["better"]
+        lower = better == "lower"
         parent_median = statistics.median(vals["parent"])
+        wins = sum((c < p) if lower else (c > p)
+                   for p, c in zip(vals["parent"], vals["change"]))
         metrics[name] = {
-            "unit": info["unit"], "better": better[name],
+            "unit": info["unit"], "better": better,
             "parent": spread(vals["parent"]),
             "change": spread(vals["change"]),
             "change_vs_parent_median": round(
                 statistics.median(vals["change"]) / parent_median - 1, 4)
             if parent_median else None,
-            "change_wins": sum((c < p) if lower else (c > p)
-                               for p, c in zip(vals["parent"], vals["change"])),
+            "change_wins": wins,
+            **verdicts(vals["parent"], vals["change"], lower,
+                       spec[name]["bound"], wins),
             "parent_runs": [round(v, 4) for v in vals["parent"]],
             "change_runs": [round(v, 4) for v in vals["change"]],
         }
@@ -122,13 +145,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        metrics = {m["name"]: m for m in spec["end_to_end"]}
         order = [w["name"] for w in spec["workloads"]]
         runs = load_runs(args.directory)
         out = {"parent": args.parent, "change": args.change,
                "python": platform.python_version(), "cores": os.cpu_count(),
                "command": COMMAND, "method": METHOD,
-               "workloads": {wl: summarize(runs[wl], better) for wl in sorted(
+               "workloads": {wl: summarize(runs[wl], metrics) for wl in sorted(
                    runs, key=lambda w: order.index(w) if w in order
                    else len(order))}}
         if args.note:
