@@ -820,6 +820,8 @@ def _scan_buckets(tower: FieldTower, id_list: Optional[List[int]],
                   progress: Optional[Callable[[int, int], None]]):
     """Scan id_list (every id when None) and bucket the kept candidates by
     exact fingerprint; returns (visited, {fingerprint: ascending ids})."""
+    if not (progress is None or callable(progress)):
+        raise BadParametersError(f"progress must be None or callable, got {progress!r}")
     total = tower.order ** tower.n
     descriptor = (tower.p, tower.e, tower.n, tower.modulus)
     if id_list is None:
@@ -851,20 +853,19 @@ def _scan_buckets(tower: FieldTower, id_list: Optional[List[int]],
 
 
 def _name_buckets(digests: Sequence[int], groups: Collection[List[int]]):
-    """([(key, ids)] in key order, digest_collisions): a key is the 16-hex-digit
-    digest (so keys sort as digests), suffixed -1, -2, ... by first member
-    where digests collide; only a repeated digest takes the (digest, ids) sort."""
-    first = operator.itemgetter(0)
-    members = sorted(zip(map("%016x".__mod__, digests), groups), key=first)
-    keys = list(map(first, members))
-    if not any(map(str.__eq__, keys, keys[1:])):
-        return members, 0
-    members, collisions, last, idx = [], 0, None, 0
-    for digest, ids in sorted(zip(digests, groups)):
+    """({key: ids} in the order of groups, digest_collisions): a key is the
+    digest as 16 hex digits; the groups of a repeated digest, ranked by
+    ascending ids, take -1, -2, ... after the first, from a (digest, ids)
+    sort of all groups, which no unrepeated digest needs."""
+    named = dict(zip(map("%016x".__mod__, digests), groups))
+    if len(named) == len(digests):
+        return named, 0
+    keys, collisions, last, idx = [""] * len(digests), 0, None, 0
+    for digest, _ids, k in sorted(zip(digests, groups, itertools.count())):
         idx, last = (idx + 1 if digest == last else 0), digest
         collisions += idx == 1
-        members.append((f"{digest:016x}" + (f"-{idx}" if idx else ""), ids))
-    return members, collisions
+        keys[k] = f"{digest:016x}" + (f"-{idx}" if idx else "")
+    return dict(zip(keys, groups)), collisions
 
 
 @_gc_paused()
@@ -883,7 +884,10 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
     with the lexicographically smallest tail is kept; with sample=k only a
     deterministic random sample of k ids is scanned.  The report is
     independent of the worker count: the id space is cut into fixed
-    chunks and merged in order.
+    chunks and merged in order.  Buckets stay in scan order, where a full
+    scan's translate classes are runs of order buckets, each classify
+    chunk holding whole runs; only the lines naming a bucket (anomalies,
+    flags, alerts) are sorted by bucket key.
     """
     tower = build_tower(p, e, n, modulus)
     total = tower.order ** n
@@ -891,6 +895,9 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
         raise BadParametersError(f"sample must be an int >= 1, got {sample!r}")
     if sample is not None and total >= 1 << 63:  # beyond random.sample
         raise BadParametersError(f"sample needs under 2^63 ids, got {total}")
+    if type(modulo_twist) is not bool or type(paranoid) is not bool:
+        raise BadParametersError("modulo_twist and paranoid must be bools, got "
+                                 f"{modulo_twist!r} and {paranoid!r}")
     drawn = total if sample is None else min(sample, total)
     _check_scan(budget, workers, drawn)
 
@@ -907,10 +914,12 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
                    != dickson.fnv1a64(dickson.fingerprint_to_bytes(tower, fp))]
     del groups, digests  # free them before the classify phase
     small = tower.order <= LINEARITY_CHECK_ORDER
-    work_items = [(key, ids) for key, ids in bucket_members
-                  if len(ids) > 1 or small]
-    chunks = range(0, len(work_items), CLASSIFY_CHUNK)
-    cls_args = (((p, e, n, tower.modulus), work_items[k:k + CLASSIFY_CHUNK],
+    work_items = [item for item in bucket_members.items()
+                  if len(item[1]) > 1 or small]
+    # whole runs of translates per chunk, so a pool classifies each once
+    step = max(CLASSIFY_CHUNK // tower.order, 1) * tower.order
+    chunks = range(0, len(work_items), step)
+    cls_args = (((p, e, n, tower.modulus), work_items[k:k + step],
                  paranoid, sample is None and not modulo_twist)
                 for k in chunks)
     try:
@@ -918,27 +927,28 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
             _classify_worker, cls_args, len(chunks), workers)))
     finally:  # no later search reads this one's results
         _CLASSIFIED.clear()
-    # one record per bucket in key order, each with its own copy of cases
+    # one record per bucket in scan order, each with its own copy of cases
     buckets: Dict[str, dict] = {}
     histogram: Dict[str, int] = {}
     anomalies: List[dict] = []
     linearity_flags: List[dict] = []
+    bucket_alerts: List[Tuple[str, str]] = []
     n_is_prime = len(_divisors(n)) == 2
     dump, scanned = len(bucket_members) <= MEMBER_DUMP_LIMIT, 0
     lone = ({}, (), None, False)  # the result of a bucket not classified
-    for key, ids in bucket_members:
+    for key, ids in bucket_members.items():
         cases, bucket_anoms, lin, clash = next(results) \
             if len(ids) > 1 or small else lone
         scanned += len(ids)
         record = buckets[key] = {"size": len(ids), "cases": cases.copy()}
         if clash:
-            alerts.append(f"bucket {key}: cases or set_linearity differ "
-                          "from another bucket of its orbit")
+            bucket_alerts.append((key, f"bucket {key}: cases or set_linearity "
+                                  "differ from another bucket of its orbit"))
         for case, count in cases.items():
             histogram[case] = histogram.get(case, 0) + count
             if n_is_prime and case.startswith("generalized"):
-                alerts.append(f"bucket {key}: case {case} at prime n={n} "
-                              "(bug or counterexample)")
+                bucket_alerts.append((key, f"bucket {key}: case {case} at "
+                                      f"prime n={n} (bug or counterexample)"))
         if bucket_anoms:
             anomalies += [{"bucket": key, "pair": [ida, idb], "reason": why}
                           for ida, idb, why in bucket_anoms]
@@ -950,6 +960,13 @@ def bucket_search(p: int, e: int, n: int, budget: Optional[int] = None, *,
                      "set_linearity": dlin, "exact": exact})
         if dump:
             record["members"] = ids
+    # the lines that name a bucket, in key order (stable: each bucket's own
+    # lines keep their order), after the name checks
+    by_key = operator.itemgetter("bucket")
+    anomalies.sort(key=by_key)
+    linearity_flags.sort(key=by_key)
+    alerts += [text for _, text in sorted(bucket_alerts,
+                                          key=operator.itemgetter(0))]
 
     params = {"p": p, "e": e, "n": n, "q": tower.q,
               "modulus": list(tower.modulus), "modulo_twist": modulo_twist,

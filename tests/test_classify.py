@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import math
+import os
 import random
 import types
 from collections import Counter
@@ -886,12 +887,12 @@ def two_sort_naming(digests, groups):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_name_buckets_equals_the_two_sort_naming(data):
-    # the integer sort of distinct digests, and the (digest, members) sort
-    # that a repeated digest takes, name as the reference does: zero, one
-    # or many groups with disjoint ascending member lists, digests from a
-    # small range (repeats are common) or from all 64-bit values, groups
-    # given as a list or as a dict's values; each group is returned as the
-    # list object it came as
+    # distinct digests, and the (digest, members) sort that a repeated
+    # digest takes, name as the reference does: zero, one or many groups
+    # with disjoint ascending member lists, digests from a small range
+    # (repeats are common) or from all 64-bit values, groups given as a
+    # list or as a dict's values; the mapping holds the groups in their
+    # given order, each as the list object it came as
     top = data.draw(st.sampled_from([0, 2, 30, (1 << 64) - 1]))
     sizes = data.draw(st.lists(st.integers(1, 4), max_size=40))
     ids = data.draw(st.lists(st.integers(0, 10 ** 6), unique=True,
@@ -900,19 +901,21 @@ def test_name_buckets_equals_the_two_sort_naming(data):
     groups = [sorted(ids[a:b]) for a, b in zip(cuts, cuts[1:])]
     digests = data.draw(st.lists(st.integers(0, top), min_size=len(groups),
                                  max_size=len(groups)))
-    want = two_sort_naming(digests, groups)
+    want, want_collisions = two_sort_naming(digests, groups)
     for given_groups in (groups, dict(enumerate(groups)).values()):
-        members, collisions = classify._name_buckets(digests, given_groups)
-        assert (members, collisions) == want
-        assert sorted(map(id, groups)) == sorted(id(ids) for _, ids in members)
+        named, collisions = classify._name_buckets(digests, given_groups)
+        assert (named, collisions) == (dict(want), want_collisions)
+        assert list(map(id, named.values())) == list(map(id, groups))
 
 
 def test_name_buckets_of_zero_and_one_group():
-    assert classify._name_buckets([], []) == ([], 0)
+    assert classify._name_buckets([], []) == ({}, 0)
     assert classify._name_buckets([255], [[7, 9]]) == (
-        [("00000000000000ff", [7, 9])], 0)
-    assert classify._name_buckets([3, 3], [[8], [2, 5]]) == (
-        [("0000000000000003", [2, 5]), ("0000000000000003-1", [8])], 1)
+        {"00000000000000ff": [7, 9]}, 0)
+    named, collisions = classify._name_buckets([3, 3], [[8], [2, 5]])
+    assert list(named.items()) == [("0000000000000003-1", [8]),
+                                   ("0000000000000003", [2, 5])]
+    assert collisions == 1
 
 
 def test_bucket_records_share_no_cases_dict():
@@ -958,6 +961,147 @@ def test_search_parameters_must_be_ints():
     assert verify_club_uniqueness(2, 1, 3, 10 ** 5, workers=1)
 
 
+def test_search_flags_must_be_bools():
+    # paranoid="no" ran a paranoid search, and a non-bool flag was written
+    # into the report's params as given
+    for kwargs in ({"paranoid": "no"}, {"modulo_twist": 1}, {"paranoid": 0},
+                   {"modulo_twist": None}):
+        with pytest.raises(BadParametersError):
+            bucket_search(2, 1, 3, **kwargs)
+    rep = bucket_search(2, 1, 3, modulo_twist=True, paranoid=False)
+    assert rep.params["modulo_twist"] is True
+    assert rep.params["paranoid"] is False
+
+
+def test_progress_must_be_none_or_callable(monkeypatch):
+    # progress=5 was taken, then raised a bare TypeError at the first tick
+    monkeypatch.setattr(classify, "PROGRESS_EVERY", 1)
+    for call in (bucket_search, verify_club_uniqueness):
+        for progress in (5, "tick"):
+            with pytest.raises(BadParametersError):
+                call(2, 1, 3, progress=progress)
+        ticks = []
+        call(2, 1, 3, progress=lambda done, total: ticks.append(done))
+        assert ticks
+
+
+@pytest.mark.parametrize("pen, kwargs", [
+    ((2, 1, 4), {}), ((5, 1, 3), {"budget": 5 ** 9, "modulo_twist": True})])
+def test_report_lines_stay_in_key_order(monkeypatch, pen, kwargs):
+    # buckets reach the records in scan order, so the lines that name a
+    # bucket are sorted by key at the end.  Forced lines: three pairs left
+    # open per bucket, (last, first), (first, first) and (first, last),
+    # with _classify_core finding no case for two members (two anomalies,
+    # in an order that is not sorted) and generalized_perp for a member
+    # with itself (an alert where n is prime), and set_linearity (2, True)
+    # (a flag per bucket at (2,1,4)).  The lists equal a reference built
+    # bucket by bucket in key order
+    t = build_tower(*pen)
+    small = t.order <= classify.LINEARITY_CHECK_ORDER
+    twist_classes = classify._twist_classes
+
+    def three_left(tower, ids):
+        cases, pending = twist_classes(tower, ids)
+        return cases, pending + [(len(ids) - 1, 0), (0, 0), (0, len(ids) - 1)]
+
+    monkeypatch.setattr(classify, "_twist_classes", three_left)
+    monkeypatch.setattr(classify, "_classify_core", lambda f, g, *rest: (
+        ["generalized_perp"] if f is g else [], {}))
+    monkeypatch.setattr(classify, "set_linearity", lambda sub: (2, True))
+    monkeypatch.setattr(classify, "MEMBER_DUMP_LIMIT", 1 << 16)
+    rep = bucket_search(*pen, **kwargs)
+    assert list(rep.buckets) != sorted(rep.buckets)
+    anomalies, flags, alerts = [], [], []
+    for key in sorted(rep.buckets):
+        ids = rep.buckets[key]["members"]
+        if len(ids) == 1 and not small:
+            continue
+        (cases, anoms, lin, _), = classify._classify_worker(
+            ((*pen, t.modulus), [(key, ids)], False, False))
+        anomalies += [{"bucket": key, "pair": [x, y], "reason": why}
+                      for x, y, why in anoms]
+        if lin is not None:
+            flags.append({"bucket": key, "rep": ids[0], "set_linearity": 2,
+                          "exact": True})
+        alerts += [f"bucket {key}: case {case} at prime n={t.n} (bug or "
+                   "counterexample)" for case in cases
+                   if t.n == 3 and case.startswith("generalized")]
+    classify._CLASSIFIED.clear()
+    assert len(anomalies) == 2 * sum(len(b["members"]) > 1
+                                     for b in rep.buckets.values()) > 0
+    assert bool(flags) == small and bool(alerts) == (t.n == 3)
+    assert (rep.anomalies, rep.linearity_flags, rep.alerts) == \
+        (anomalies, flags, alerts)
+    keys = [line["bucket"] for line in rep.anomalies + rep.linearity_flags]
+    keys += [text.split(":")[0][len("bucket "):] for text in rep.alerts]
+    lines = (len(rep.anomalies), len(rep.linearity_flags), len(rep.alerts))
+    for a, b in itertools.pairwise(itertools.accumulate((0,) + lines)):
+        assert keys[a:b] == sorted(keys[a:b])
+    for a, b in zip(rep.anomalies[::2], rep.anomalies[1::2]):
+        assert a["bucket"] == b["bucket"] and a["pair"] == b["pair"][::-1]
+        assert a["pair"][0] > a["pair"][1]
+
+
+@pytest.mark.parametrize("pen, kwargs", [
+    ((2, 1, 4), {}), ((3, 1, 3), {}), ((2, 2, 2), {}),
+    ((5, 1, 3), {"budget": 5 ** 9, "modulo_twist": True})])
+def test_full_scan_keeps_translates_together(monkeypatch, pen, kwargs):
+    # (x, y) -> (x, y + gamma*x) moves a bucket onto one with the same
+    # member tails, and a full scan makes the order translates of each new
+    # bucket one after another.  So in the classify phase's items equal
+    # member tails form one run of exactly order consecutive items, and
+    # no chunk splits a run, at the default CLASSIFY_CHUNK and at one
+    # small enough for several chunks everywhere
+    t = build_tower(*pen)
+    classify_worker, chunks = classify._classify_worker, []
+
+    def tracked(args):
+        chunks.append(args[1])
+        return classify_worker(args)
+
+    monkeypatch.setattr(classify, "_classify_worker", tracked)
+    for size in (classify.CLASSIFY_CHUNK, 20):
+        monkeypatch.setattr(classify, "CLASSIFY_CHUNK", size)
+        chunks.clear()
+        bucket_search(*pen, **kwargs)
+        tails = [tuple(pid // t.order for pid in ids)
+                 for chunk in chunks for _, ids in chunk]
+        runs = [(tt, len(list(run))) for tt, run in itertools.groupby(tails)]
+        assert len(runs) == len({tt for tt, _ in runs}) > 1
+        assert {length for _, length in runs} == {t.order}
+        cuts = list(itertools.accumulate(map(len, chunks)))[:-1]
+        assert all(tails[k - 1] != tails[k] for k in cuts)
+    assert len(chunks) > 1
+
+
+def test_pooled_search_classifies_each_translate_class_once(monkeypatch,
+                                                            tmp_path):
+    # the classify chunks hold whole translate classes, so a pool of two,
+    # whose children keep memos of their own, makes as many
+    # _classify_bucket calls as one process; each process counts its
+    # calls into a file of its own
+    classify_bucket, counts = classify._classify_bucket, {}
+
+    def counting(tower, ids, paranoid):
+        with open(run_dir / str(os.getpid()), "a") as out:
+            out.write(".")
+        return classify_bucket(tower, ids, paranoid)
+
+    monkeypatch.setattr(classify, "_classify_bucket", counting)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
+    for workers in (1, 2):
+        run_dir = tmp_path / str(workers)
+        run_dir.mkdir()
+        report = bucket_search(5, 1, 3, 5 ** 9, workers=workers,
+                               modulo_twist=True).to_json()
+        counts[workers] = [len(path.read_text())
+                           for path in run_dir.iterdir()]
+        assert report == (counts.get("report") or report)
+        counts["report"] = report
+    assert sum(counts[1]) == sum(counts[2]) == 190
+    assert len(counts[1]) == 1 and len(counts[2]) == 2
+
+
 def test_paranoid_replays_build_each_members_graph_once(monkeypatch):
     # a paranoid bucket replays each of its pairs, and every replay and
     # the point-set check reuse one graph per member and at most one perp
@@ -988,8 +1132,8 @@ def test_paranoid_replays_build_each_members_graph_once(monkeypatch):
 
 def test_bucket_search_digest_collisions_resolved(monkeypatch):
     # squash the naming digests to force collisions; fingerprints must still
-    # separate, and keys, their -k order and the collision count follow the
-    # reference naming
+    # separate, keys, their -k order and the collision count follow the
+    # reference naming, and the buckets keep the scan's order
     true_digests = classify.fingerprint_digests
     monkeypatch.setattr(classify, "fingerprint_digests",
                         lambda t, fps: [d % 64 for d in true_digests(t, fps)])
@@ -1005,11 +1149,13 @@ def test_bucket_search_digest_collisions_resolved(monkeypatch):
     monkeypatch.undo()
     full = bucket_search(2, 1, 3)
     (digests, groups, (members, collisions)), = named
-    assert (members, collisions) == two_sort_naming(digests, groups)
-    assert any(key.endswith("-2") for key, _ in members)
+    want, want_collisions = two_sort_naming(digests, groups)
+    assert (members, collisions) == (dict(want), want_collisions)
+    assert list(map(id, members.values())) == list(map(id, groups))
+    assert any(key.endswith("-2") for key in members)
     assert squashed.params["digest_collisions"] == collisions > 0
     assert [(key, b["members"]) for key, b in squashed.buckets.items()] == \
-        members
+        list(members.items())
     assert sorted(b["size"] for b in squashed.buckets.values()) == \
         sorted(b["size"] for b in full.buckets.values())
     assert squashed.histogram == full.histogram
@@ -1124,7 +1270,8 @@ def test_buckets_are_invariant_under_scaling_and_frobenius(pen):
 def test_sharing_results_among_translates_changes_nothing(monkeypatch, pen,
                                                           modulo_twist,
                                                           sample):
-    # _classify_worker over the key-order CLASSIFY_CHUNK slices, where a
+    # _classify_worker over CLASSIFY_CHUNK slices of the buckets in key
+    # order, which scatters translates over the chunks, where a
     # bucket whose member tails repeat an earlier bucket's, in any chunk,
     # takes that bucket's results, against one bucket per call on an empty
     # memo.  _image_tails yields nothing, so only translates share.  One
@@ -1135,8 +1282,8 @@ def test_sharing_results_among_translates_changes_nothing(monkeypatch, pen,
     ids = None if sample is None else sorted(
         random.Random(0).sample(range(t.order ** t.n), sample))
     _, groups = classify._scan_buckets(t, ids, modulo_twist, 1, None)
-    items, _ = classify._name_buckets(
-        classify.fingerprint_digests(t, list(groups)), groups.values())
+    items = sorted(classify._name_buckets(
+        classify.fingerprint_digests(t, list(groups)), groups.values())[0].items())
     twist_classes, lin_calls = classify._twist_classes, []
 
     def one_left(tower, ids):

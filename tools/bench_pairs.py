@@ -19,6 +19,13 @@ parent's interquartile distance (q3 - q1).  Each --note (for example a wall time
 the benchmark) goes into a "notes" list.  The Python version and core
 count written are those of the machine that runs this script, so run it
 where the benchmark ran.
+
+Compile both trees' bytecode (python3 -m compileall -q src in each) or
+clear both src/**/__pycache__ directories before the timed runs.  Where
+PYTHONDONTWRITEBYTECODE=1 is set, a tree whose .pyc files are stale
+recompiles the package in each of setup_s's nine fresh interpreters, so
+setup_s reads higher on that tree only (0.08 -> 0.11 s in one
+comparison, equal again once both trees were compiled).
 Bad input ends in a one-line error and exit code 1.
 """
 
