@@ -18,10 +18,8 @@ import operator
 import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import (Callable, Collection, Dict, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Collection, Dict, Iterable, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from . import dickson, linalg
 from .dickson import DicksonMatrix, fingerprint_digests
@@ -81,8 +79,7 @@ def _gc_paused():
             gc.enable()
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     """Outcome of classifying one equal-set pair.
 
     case is the first matching case in test order; matched lists every case
@@ -800,6 +797,7 @@ def _run_chunks(worker, chunk_args: Iterable, count: int, workers: int):
         for args in chunk_args:
             yield worker(args)
         return
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(worker, chunk_args)
 

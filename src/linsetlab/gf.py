@@ -258,15 +258,17 @@ class FieldTower:
         return a
 
     def _build_small_add_tables(self) -> None:
-        o, p = self.order, self.p
-        neg = [self._undigits([(-d) % p for d in self._digits(v)]) for v in range(o)]
-        rows = [[0] * o for _ in range(o)]
-        for a in range(o):
-            da, row = self._digits(a), rows[a]
-            for b in range(a, o):
-                s = self._undigits([(x + y) % p for x, y in zip(da, self._digits(b))])
-                row[b] = s
-                rows[b][a] = s
+        # one base-p digit per level: a + b = (a0 + b0) % p + p*(a' + b') for
+        # a = a0 + p*a', b = b0 + p*b'; entry y of row a' becomes the block
+        # p*y + (a0 + b0) % p, sliced from ints: the rows share order int objects
+        p, ints = self.p, list(range(self.order))
+        rows, neg = [[0]], [0]
+        for _ in range(self.m):
+            blocks = [[ints[p * y + a0:p * y + p] + ints[p * y:p * y + a0]
+                       for y in range(len(rows))] for a0 in range(p)]
+            rows = [list(itertools.chain.from_iterable(map(blocks[a0].__getitem__, row)))
+                    for row in rows for a0 in range(p)]
+            neg = [ints[p * y + (-a0) % p] for y in neg for a0 in range(p)]
         self._neg_t = neg
         self._add_rows = rows  # a + b is rows[a][b]
 

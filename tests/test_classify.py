@@ -1,5 +1,6 @@
 """Tests for pair classification, verdict replay, and bucket searches."""
 
+import concurrent.futures
 import functools
 import gc
 import itertools
@@ -7,6 +8,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import types
 from collections import Counter
 
@@ -350,6 +353,48 @@ def test_replay_rejects_tampered_witnesses():
                       dict(v.witness, inner_c=list(v.witness["inner_b"])),
                       v.certificate)
     assert not replay_verdict(fU, gW, bad)
+
+
+def test_pair_verdict_is_an_immutable_record():
+    # four fields in this order, read by name, one to_json, equal when the
+    # fields are equal, and no field can be assigned
+    fields = ("multiple", ("multiple", "perp_multiple"), {"lambda": 3}, ("c",))
+    v = PairVerdict(*fields)
+    assert (v.case, v.matched, v.witness, v.certificate) == fields
+    assert v == PairVerdict(case="multiple", matched=fields[1],
+                            witness={"lambda": 3}, certificate=("c",))
+    assert v != PairVerdict("perp_multiple", *fields[1:])
+    assert v.to_json() == {"case": "multiple",
+                           "matched": ["multiple", "perp_multiple"],
+                           "witness": {"lambda": 3}, "certificate": ["c"]}
+    for name in ("case", "matched", "witness", "certificate"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, None)
+    t = build_tower(2, 1, 5)
+    f = LinearizedPolynomial.monomial(t, 1, 1)
+    real = classify_pair(f, f.twist(3))
+    assert real == classify_pair(f, f.twist(3))
+    assert json.loads(json.dumps(real.to_json())) == real.to_json()
+
+
+def test_import_leaves_the_pool_and_dataclasses_unloaded():
+    # a workers=1 search never opens a pool, so neither importing the
+    # package nor such a search loads the pool modules or dataclasses;
+    # _run_chunks imports the pool when it opens one, which the pooled
+    # searches of the tests that patch concurrent.futures cover
+    src = os.path.dirname(os.path.dirname(classify.__file__))
+    code = ("import sys, linsetlab\n"
+            "lazy = ('concurrent.futures', 'multiprocessing', 'dataclasses')\n"
+            "print(linsetlab.__file__)\n"
+            "print([m for m in lazy if m in sys.modules])\n"
+            "linsetlab.bucket_search(2, 1, 3, workers=1)\n"
+            "print([m for m in lazy if m in sys.modules])\n")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.splitlines() == [
+        os.path.join(src, "linsetlab", "__init__.py"), "[]", "[]"]
 
 
 def test_replay_of_a_scalar_claim_checks_dimension_and_lambda():
@@ -722,12 +767,12 @@ def test_bucket_search_workers_byte_identical(monkeypatch):
     monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
     started = []
 
-    class RecordingPool(classify.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(classify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     r1 = bucket_search(2, 1, 3, workers=1)
     r2 = bucket_search(2, 1, 3, workers=2)
     assert started == [2, 2]
@@ -751,7 +796,7 @@ def test_run_chunks_bounds_the_pool(monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(classify, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
     monkeypatch.setattr(classify.os, "cpu_count", lambda: 3)
     square = lambda x: x * x  # noqa: E731
     for chunks, workers, pool in ((10, 500, [3]), (2, 500, [2]), (10, 2, [2]),
@@ -1373,12 +1418,12 @@ def test_orbit_sharing_reports_equal_translate_sharing(monkeypatch, pen):
     monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
     started = []
 
-    class RecordingPool(classify.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(classify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     shared = [json.dumps(bucket_search(*pen, workers=w).to_json(),
                          sort_keys=True) for w in (1, 2)]
     assert started == [2, 2]

@@ -221,16 +221,30 @@ def test_addition_paths_agree_with_digitwise_oracle():
             assert t.sub(a, b) == t.add(a, t.neg(b))
 
 
-@pytest.mark.parametrize("pen", [(3, 1, 3), (5, 1, 3), (3, 2, 2)])
+@pytest.mark.parametrize("pen", [(3, 1, 3), (5, 1, 3), (3, 2, 2), (3, 1, 1),
+                                 (5, 1, 1), (7, 1, 2), (3, 1, 5), (31, 1, 2)])
 def test_add_rows_agree_with_the_digit_route_on_every_pair(pen):
     # odd p at order up to _ADD_TABLE_CAP stores a + b as _add_rows[a][b],
-    # which the shift tables also read: every pair, both operations
-    t = gf.build_tower(*pen)
+    # which the shift tables also read: every pair (every 7th row at
+    # (31,1,2)), both operations, and every negation; the rows share at
+    # most order int objects
+    t, step = gf.build_tower(*pen), 7 if pen == (31, 1, 2) else 1
     assert t.add == t._add_table and len(t._add_rows) == t.order
-    for a in range(t.order):
+    for a in range(0, t.order, step):
+        assert len(t._add_rows[a]) == t.order
         for b in range(t.order):
             assert t._add_table(a, b) == t._add_digits(a, b)
             assert t._sub_table(a, b) == t._sub_digits(a, b)
+    assert [t._neg_table(a) for a in range(t.order)] == \
+        [t._neg_digits(a) for a in range(t.order)]
+    assert len({id(v) for row in t._add_rows for v in row}) <= t.order
+
+
+def test_towers_above_the_add_table_cap_keep_the_digit_route():
+    t = gf.build_tower(3, 1, 7)
+    assert t.order > gf._ADD_TABLE_CAP and t._add_rows is None
+    assert (t.add, t.sub, t.neg) == (t._add_digits, t._sub_digits, t._neg_digits)
+    assert t.add(t.neg(1234), 1234) == 0 and (t.add(1, 2), t.add(3, 4)) == (0, 7)
 
 
 def test_division_and_inverses():
