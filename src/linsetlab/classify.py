@@ -29,19 +29,10 @@ from .errors import (
     BudgetExceededError,
     DecompositionFailedError,
     NotEqualSetsError,
-    TooLargeError,
     ZeroParameterError,
 )
 from .gf import FieldTower, build_tower, enumeration_budget
-from .linpoly import (
-    LinearizedPolynomial,
-    _adjoint_coeffs,
-    _id_coeffs,
-    _twist_coeffs,
-    _unwrap,
-    poly_from_id,
-    poly_to_id,
-)
+from .linpoly import LinearizedPolynomial, _unwrap, poly_from_id, poly_to_id
 from .linset import (
     Subspace,
     _divisors,
@@ -54,6 +45,10 @@ from .linset import (
     pseudoregulus_witness,
     set_linearity,
 )
+from .orbits import (  # noqa: F401  (callers read these names from here)
+    _adjoint_coeffs, _candidate_tails, _id_coeffs, _image_tails, _log_walk,
+    _need_log_tables, _orbit_tails, _residue_minima, _tail_filtered,
+    _twist_coeffs, _twist_scalar)
 
 CASES = ("multiple", "perp_multiple", "pseudoregulus",
          "generalized_pseudoregulus", "generalized_perp")
@@ -168,13 +163,12 @@ def _match_inner(tower: FieldTower, dec, g: LinearizedPolynomial, tau: int,
     if _inner_point_tags(tower, bs, d) != _inner_point_tags(tower, cs, d):
         return None
     # scalars on the subline come from its own field, so the inner multiple
-    # and perp-multiple tests range over the nonzero subfield elements
-    sub_units = [s for s in tower.subfield_elements(d) if s]
-    for target, case in ((list(cs), "multiple"),
+    # and perp-multiple tests are twists by units of F_(q^d)
+    for target, case in ((cs, "multiple"),
                          (_adjoint_coeffs(tower, cs), "perp_multiple")):
-        for mu in sub_units:
-            if _twist_coeffs(tower, bs, mu) == target:
-                return case, {"mu": mu}, tuple(cs)
+        mu = _twist_scalar(tower, bs, target)
+        if mu is not None:
+            return case, {"mu": mu}, tuple(cs)
     # the inner sets agree (point tags above), so a two-generator shape on
     # both sides settles the subline pair the same way the outer case does
     if d >= 5:
@@ -199,10 +193,9 @@ def _attempt_generalized(f: LinearizedPolynomial, g: LinearizedPolynomial,
         return None
     a, lam, _bs = det
     u_scale = t.inv(lam)
-    u_norm = graph_subspace(f).scale(u_scale)
     a1 = t.mul(a, lam)
-    try:
-        dec = decompose(u_norm, d, a1)
+    try:  # the twist's graph is f's graph scaled by u_scale
+        dec = decompose(graph_subspace(f.twist(lam)), d, a1)
     except DecompositionFailedError:
         note(f"divisor {d}: decomposition failed after rescaling")
         return None
@@ -322,7 +315,7 @@ def classify_pair(f: LinearizedPolynomial, g: LinearizedPolynomial,
     match and matched lists every case found.  With exhaustive=True the
     divisor forms are probed even after an early match.
     """
-    if f.tower is not g.tower:
+    if f.tower != g.tower:
         raise AmbientMismatchError("pair must live in one tower")
     A = DicksonMatrix.from_poly(f)
     B = DicksonMatrix.from_poly(g)
@@ -451,94 +444,8 @@ def _replay(verdict: PairVerdict, U: Subspace, W: Subspace,
 
 
 # ---------------------------------------------------------------------------
-# twist orbits
-# ---------------------------------------------------------------------------
-
-def _need_log_tables(tower: FieldTower) -> None:
-    if not tower.has_tables:
-        raise TooLargeError("twist orbits need log tables (order above table cap)")
-
-
-@functools.lru_cache(maxsize=None)
-def _residue_minima(tower: FieldTower, d: int, g: int) -> tuple:
-    """Smallest packed value of each class of discrete logs modulo
-    (q^n - 1)/(q^d - 1) * (q^g - 1): a twist by lam in F_(q^d)^* moves
-    log a_i, gcd(i, d) = g, by exactly the multiples of that modulus."""
-    _need_log_tables(tower)
-    exp, onum = tower._exp, tower._onum
-    m = onum // (tower.q ** d - 1) * (tower.q ** g - 1)
-    return tuple(min(exp[r::m]) for r in range(m))
-
-
-def _log_walk(tower: FieldTower, tail: Sequence[int], m: int,
-              steps: Sequence[int], count: int) -> List[int]:
-    """Tail ids of b for L = 0 .. count-1, where b_i = exp[(m*log a_i +
-    L*steps[i]) mod (q^n - 1)] for each nonzero a_i of tail and b_i = 0
-    for each zero one: a ΓL(2, q^n) orbit of tails, walked by logs."""
-    _need_log_tables(tower)
-    exp, log, onum, order = tower._exp, tower._log, tower._onum, tower.order
-    members = [0] * count
-    for i, (a, step) in enumerate(zip(tail, steps)):
-        if a:
-            la, w = m * log[a] % onum, order ** i
-            members = [b + w * exp[(la + L * step) % onum]
-                       for L, b in enumerate(members)]
-    return members
-
-
-def _orbit_tails(tower: FieldTower, tail: Sequence[int]) -> List[int]:
-    """Tail ids of the twists of tail (coefficients 1..n-1), itself first.
-    The twist b_i = a_i*lam^(q^i - 1) conjugates the Dickson matrix by
-    diag(lam, lam^q, ...), so an orbit shares its principal minors for
-    every a_0.  For lam = g^L, log b_i = log a_i + L*(q^i - 1), and lam in
-    F_q^* fixes every tail, so L < (q^n - 1)/(q - 1) reaches every member;
-    past the gcd filter (on the support, so on whole orbits) F_q^* is the
-    whole stabilizer and each member comes once."""
-    q = tower.q
-    return _log_walk(tower, tail, 1, [q ** i - 1 for i in range(1, tower.n)],
-                     (tower.order - 1) // (q - 1))
-
-
-# ---------------------------------------------------------------------------
 # bucket search
 # ---------------------------------------------------------------------------
-
-def _tail_filtered(tower: FieldTower, tail_id: int,
-                   twist: bool) -> Optional[List[int]]:
-    """Coefficients 1..n-1 shared by every id pid with pid // order ==
-    tail_id, or None when the gcd filter or (given twist) the twist filter
-    drops them; neither reads coefficient 0.  The twist filter keeps the
-    lexicographically smallest tail of each twist orbit: with d = gcd(n,
-    the earlier nonzero indices), the twists fixing every earlier nonzero
-    a_j are lam in F_(q^d)^*, so the greedy minimum takes each later a_i
-    to the smallest value of its _residue_minima class."""
-    v, order, n = tail_id, tower.order, tower.n
-    tail, d = [], n
-    for i in range(1, n):
-        v, c = divmod(v, order)
-        tail.append(c)
-        if c:
-            if twist and d > 1:
-                mins = _residue_minima(tower, d, math.gcd(i, d))
-                if mins[tower._log[c] % len(mins)] != c:
-                    return None
-            d = math.gcd(d, i)
-    return tail if d == 1 else None
-
-
-def _candidate_tails(tower: FieldTower, lo: int, hi: int):
-    """Tail ids in [lo, hi), ascending, whose leading tail coefficient a_i0
-    passes the first level of _tail_filtered's residue chain, plus the zero
-    tail: every tail the twist filter keeps is one.  Such ids are
-    a*order^(i0-1) + k*order^i0, computed without decoding a tail."""
-    n = tower.n
-    runs = [range(lo, min(hi, 1))]
-    for i0 in range(1, n):
-        w, step = tower.order ** (i0 - 1), tower.order ** i0
-        runs += [range(max(a * w, lo + (a * w - lo) % step), hi, step)
-                 for a in _residue_minima(tower, n, math.gcd(i0, n))]
-    yield from sorted(itertools.chain.from_iterable(runs))
-
 
 # (tower, principal minors) -> zero-diagonal matrix, whose shift table is shared
 _SHIFT_TABLES: Dict[tuple, DicksonMatrix] = {}
@@ -679,23 +586,6 @@ def _classify_bucket(tower: FieldTower, ids: Sequence[int], paranoid: bool):
     lin = set_linearity(graph_subspace(poly_from_id(tower, ids[0]))) \
         if tower.order <= LINEARITY_CHECK_ORDER else None
     return dict(sorted(cases.items())), anomalies, lin
-
-
-def _image_tails(tower: FieldTower, tails: Sequence[int]):
-    """Sorted member tails of the images of a bucket with member tails
-    tails under f -> beta*f^(p^k), beta in F_(q^n)^*, 0 <= k < e*n.
-    Scaling (x, y) -> (x, beta*y) and the Frobenius map each fingerprint
-    class onto one (minor_I(beta*f) = beta^(sum_(i in I) q^i)*minor_I(f),
-    minor_I(f^sigma) = minor_I(f)^sigma), keep every pair's case and keep
-    the support, so the gcd filter: in a scan of whole classes the image
-    of a bucket is a bucket.  By the _log_walk of _orbit_tails, b_i =
-    exp[p^k*log a_i + L] for beta = g^L."""
-    order, units = tower.order, [1] * (tower.n - 1)
-    coeffs = [_id_coeffs(tower, tid * order)[1:] for tid in tails]
-    for k in range(tower.e * tower.n):
-        yield from (tuple(sorted(image)) for image in zip(*[
-            _log_walk(tower, tail, tower.p ** k, units, order - 1)
-            for tail in coeffs]))
 
 
 # (tower, member tails) -> _classify_bucket result, for one bucket_search

@@ -27,8 +27,9 @@ A column sums its terms by xor at p = 2, else by the tower's rows of sums
 (_add_rows[a][b] = a + b) where it has them, else by t.add.
 
 A matrix may have size s < n provided s | n and every coefficient lies in
-the intermediate field F_{q^s}; such smaller matrices drive the recursive
-step of pair classification entirely inside the big field.
+the intermediate field F_{q^s}; its fingerprint, transpose and
+diag_similar then work inside F_{q^s} while the arithmetic stays in the
+big field.
 
 Bucket names are FNV-1a digests.  A step h <- (h xor b)*P mod 2^64 with an
 ASCII byte b < 128 maps h + 128m to its image of h plus 128m*P (the xor
@@ -43,7 +44,6 @@ fingerprint_digests walks a batch from there one entry position at a time.
 
 from __future__ import annotations
 
-import math
 import operator
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -57,12 +57,8 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .gf import FieldTower
-from .linpoly import (
-    LinearizedPolynomial,
-    _adjoint_coeffs,
-    _twist_coeffs,
-    _unwrap,
-)
+from .linpoly import LinearizedPolynomial, _unwrap
+from .orbits import _adjoint_coeffs, _support_gcd, _twist_coeffs, _twist_scalar
 
 FINGERPRINT_BOUND = 12
 
@@ -354,10 +350,7 @@ class DicksonMatrix:
         none when that gcd is 1."""
         if self.is_zero():
             raise ZeroPolynomialError("reducibility needs a nonzero matrix")
-        g = self.size
-        for i in self.support():
-            if i >= 1:
-                g = math.gcd(g, i)
+        g = _support_gcd(self.coeffs)
         return g if g > 1 else None
 
     def loewy_partition(self) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
@@ -399,25 +392,7 @@ class DicksonMatrix:
             raise AmbientMismatchError("matrices from different towers")
         if other.size != self.size:
             raise AmbientMismatchError("matrices of different size")
-        a, b = self.coeffs, other.coeffs
-        s = self.size
-        if self.support() != other.support():
-            return None
-        pivots = [i for i in self.support() if i >= 1]
-        if not pivots:
-            # support empty or {0}: the relation forces b_0 = a_0, any lambda;
-            # report the canonical lambda = 1
-            return 1 if a[0] == b[0] else None
-        i = pivots[0]
-        target = t.div(b[i], a[i])
-        if not t.in_subfield(target, s):
-            return None
-        candidates = t.kth_roots(target, t.q ** i - 1, s)
-        verified = [lam for lam in candidates if self._verify_lambda(other, lam)]
-        return min(verified) if verified else None
-
-    def _verify_lambda(self, other: "DicksonMatrix", lam: int) -> bool:
-        return _twist_coeffs(self.tower, self.coeffs, lam) == list(other.coeffs)
+        return _twist_scalar(t, self.coeffs, other.coeffs)
 
     def diag_similar_scan(self, other: "DicksonMatrix") -> Optional[int]:
         """Reference implementation: full ascending scan of F_(q^s)^*."""
@@ -427,7 +402,7 @@ class DicksonMatrix:
         if not any(self.coeffs) and not any(other.coeffs):
             return 1
         for lam in t.subfield_elements(self.size):
-            if lam and self._verify_lambda(other, lam):
+            if lam and _twist_coeffs(t, self.coeffs, lam) == list(other.coeffs):
                 return lam
         return None
 

@@ -783,10 +783,14 @@ def is_independent(elems: Sequence[Union[FieldElement, int]],
             elif tower != x.tower:
                 raise AmbientMismatchError("elements from different towers")
             vals.append(x.val)
+        elif type(x) is not int:  # int() would read 1.5, True and "3"
+            raise BadParametersError(f"packed value {x!r} is not an int")
         else:
-            vals.append(int(x))
+            vals.append(x)
     if tower is None:
         raise ValueError("pass FieldElement values or an explicit tower")
+    if not 0 <= min(vals) <= max(vals) < tower.order:
+        raise ValueError(f"packed values out of range [0, {tower.order})")
     k = len(vals)
     if k > tower.n:
         raise ValueError(f"at most n = {tower.n} elements can be independent")

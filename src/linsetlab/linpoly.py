@@ -8,39 +8,24 @@ as packed element integers of the ambient FieldTower.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 from . import linalg
 from .errors import AmbientMismatchError, BadParametersError, ZeroScalarError
 from .gf import FieldElement, FieldTower
+from .orbits import _adjoint_coeffs, _id_coeffs, _support_gcd, _twist_coeffs
 
 
 def _unwrap(tower: FieldTower, c) -> int:
     if isinstance(c, FieldElement):
         if c.tower != tower:
-            raise AmbientMismatchError("coefficient from a different tower")
+            raise AmbientMismatchError("value from a different tower")
         return c.val
     if type(c) is not int:  # int() would read 1.5, True and "3"
         raise BadParametersError(f"packed value {c!r} is not an int")
     if not 0 <= c < tower.order:
         raise ValueError(f"packed value {c} out of range [0, {tower.order})")
     return c
-
-
-def _twist_coeffs(tower: FieldTower, coeffs: Sequence[int], lam: int) -> List[int]:
-    """b_i = a_i * lam^(q^i - 1): the twist of sum a_i x^(q^i) by lam, for
-    any length s | n with lam in F_(q^s)^*."""
-    mul, div, frob = tower.mul, tower.div, tower.frobenius
-    return [mul(a, div(frob(lam, i), lam)) if a else 0
-            for i, a in enumerate(coeffs)]
-
-
-def _adjoint_coeffs(tower: FieldTower, coeffs: Sequence[int]) -> List[int]:
-    """b_k = a_(-k mod s)^(q^k): the adjoint of sum a_i x^(q^i) over
-    F_(q^s), s = len(coeffs), which is also the Dickson transpose."""
-    s, frob = len(coeffs), tower.frobenius
-    return [frob(coeffs[-k % s], k) for k in range(s)]
 
 
 class LinearizedPolynomial:
@@ -100,11 +85,8 @@ class LinearizedPolynomial:
         return acc
 
     def __call__(self, x: Union[FieldElement, int]) -> Union[FieldElement, int]:
-        if isinstance(x, FieldElement):
-            if x.tower != self.tower:
-                raise AmbientMismatchError("argument from a different tower")
-            return FieldElement(self.tower, self.evaluate(x.val))
-        return self.evaluate(int(x))
+        v = self.evaluate(_unwrap(self.tower, x))
+        return FieldElement(self.tower, v) if isinstance(x, FieldElement) else v
 
     # -- the induced F_q-linear map ----------------------------------------------
 
@@ -161,11 +143,7 @@ class LinearizedPolynomial:
     def linearity_gcd(self) -> int:
         """Largest divisor d of n with f linear over F_{q^d}: the gcd of n
         and all nonzero support indices >= 1 (n when the support is in {0})."""
-        g = self.tower.n
-        for i in self.support:
-            if i >= 1:
-                g = math.gcd(g, i)
-        return g
+        return _support_gcd(self.coeffs)
 
     # -- ring-ish arithmetic ------------------------------------------------------------
 
@@ -219,18 +197,6 @@ class LinearizedPolynomial:
 def from_json(tower: FieldTower, obj: dict) -> LinearizedPolynomial:
     return LinearizedPolynomial(
         tower, [tower.from_coeffs(c).val for c in obj["coeffs"]])
-
-
-def _id_coeffs(tower: FieldTower, poly_id: int) -> List[int]:
-    """The packed coefficients of the enumeration id sum(packed(a_i) *
-    order^i); ids run over [0, order^n)."""
-    coeffs = []
-    for _ in range(tower.n):
-        poly_id, c = divmod(poly_id, tower.order)
-        coeffs.append(c)
-    if poly_id:
-        raise ValueError("polynomial id out of range")
-    return coeffs
 
 
 def poly_from_id(tower: FieldTower, poly_id: int) -> LinearizedPolynomial:

@@ -282,6 +282,20 @@ def test_classify_ambient_mismatch():
         classify_pair(f, g)
 
 
+def test_classify_pair_takes_equal_towers_that_are_distinct_objects():
+    # towers compare by value, as sets_equal does: a pair over a fresh
+    # FieldTower and the cached one gets the single-tower verdict
+    t, fresh = build_tower(2, 1, 4), gf.FieldTower(2, 1, 4)
+    assert fresh == t and fresh is not t
+    f = LinearizedPolynomial(t, [3, 5, 0, 7])
+    h = LinearizedPolynomial(fresh, f.coeffs)
+    for g in (f.twist(6), f.adjoint().twist(9)):
+        assert sets_equal(graph_subspace(h), graph_subspace(g))
+        verdict = classify_pair(h, g)
+        assert verdict == classify_pair(f, g)
+        assert verdict.case in ("multiple", "perp_multiple")
+
+
 def criterion_seven_pair():
     """A generalized-perp pair at (2,6), d=3 that no earlier case matches."""
     t = build_tower(2, 1, 6)

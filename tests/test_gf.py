@@ -583,6 +583,22 @@ def test_is_independent_against_local_rank_oracle():
         gf.is_independent([t.one()] * 5)
 
 
+def test_is_independent_refuses_values_that_are_not_field_elements():
+    # int() read [1.5, 2.0] as [1, 2]; 99 ended in an IndexError
+    t = gf.build_tower(2, 1, 4)
+    for bad in ([1.5, 2.0], [True, 2], ["3", 2]):
+        with pytest.raises(BadParametersError, match="not an int"):
+            gf.is_independent(bad, t)
+    for bad in ([99, 2], [2, t.order], [-1, 2]):
+        with pytest.raises(ValueError, match="out of range"):
+            gf.is_independent(bad, t)
+    with pytest.raises(BadParametersError, match="not an int"):
+        gf.is_independent([t.one(), 1.5])
+    assert gf.is_independent([1, 2], t)
+    assert gf.is_independent([1, t.x()])
+    assert not gf.is_independent([t.order - 1, t.x(), t.order - 1])
+
+
 def test_is_independent_over_nonprime_base():
     t = gf.build_tower(2, 2, 3)  # q = 4
     x = t.x()

@@ -223,6 +223,22 @@ def test_packed_values_must_be_ints_or_field_elements():
     assert LinearizedPolynomial.monomial(t, 7, 2).coeffs == (0, 0, 7)
 
 
+def test_call_refuses_values_that_are_not_field_elements():
+    # int() read 1.5 and True as 1 and "3" as 3; 99 ended in an IndexError
+    t = gf.build_tower(2, 1, 4)
+    f = LinearizedPolynomial.monomial(t, 1, 1)  # x^q
+    for bad in (1.5, True, "3"):
+        with pytest.raises(BadParametersError, match="not an int"):
+            f(bad)
+    for bad in (99, t.order, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            f(bad)
+    with pytest.raises(AmbientMismatchError):
+        f(gf.build_tower(2, 1, 3).x())
+    assert [f(v) for v in range(t.order)] == [t.mul(v, v) for v in range(t.order)]
+    assert f(t.x()) == t.x() * t.x()
+
+
 def test_json_and_id_roundtrips():
     t = gf.build_tower(3, 1, 2)
     rng = random.Random(43)

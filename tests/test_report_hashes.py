@@ -20,4 +20,4 @@ def test_report_hash_matches_the_golden_hash():
 
 def test_search_names_are_distinct():
     names = [name for name, _, _ in report_hashes.SEARCHES]
-    assert len(names) == len(set(names)) == 30
+    assert len(names) == len(set(names)) == 31
